@@ -9,23 +9,25 @@ elements while the messages are in flight, then receives and
 accumulates (see :mod:`repro.parallel.decomposition` for the
 interface-first element ordering and split scatter plans).
 
-The same schedule runs over either transport behind
-:class:`repro.parallel.simcomm.SimComm`:
+Each schedule is one SPMD rank program (``_rank_program``,
+``_rank_program_lts``, ``_rank_program_fused``, ``_shot_program``):
+one rank's full time loop, run through ``world.run_spmd`` on either
+transport behind :class:`repro.parallel.simcomm.SimComm`:
 
 * :class:`repro.parallel.simcomm.SimWorld` — in-process mailboxes; the
-  parallel semantics execute for real on one core;
+  rank programs run on baton-scheduled threads, one rank at a time, so
+  the parallel semantics execute for real and deterministically on one
+  core;
 * :class:`repro.parallel.transport.ProcWorld` — persistent worker
   processes exchanging boundary data through double-buffered
-  shared-memory channels, so ``run()`` actually uses N cores.  Each
-  worker marches its own rank's full time loop; only boundary partial
-  sums and the final gathered displacement cross process boundaries.
+  shared-memory channels, so ``run()`` actually uses N cores.  Only
+  boundary partial sums and the final gathered displacement cross
+  process boundaries.
 
-Both paths perform the identical per-rank arithmetic in the identical
-order (same phased matvec shapes, same sorted-neighbor accumulation,
-same deterministic lowest-owner gather), so their trajectories are
-bit-identical — the transport equivalence tests assert
-``np.array_equal``, and that the per-rank :class:`TrafficStats` match
-message for message.
+Because both transports execute the very same rank programs on the same
+payloads, parity holds by construction: trajectories are bit-identical
+and the per-rank :class:`TrafficStats` match message for message (the
+transport equivalence tests assert both).
 
 Scope: lumped mass, Lysmer absorbing damping (the ``c1`` coupling and
 hanging-node projection would add further interface reductions; the
@@ -53,6 +55,8 @@ from repro.fem.assembly import ElasticOperator, lumped_mass
 from repro.mesh.hexmesh import HexMesh
 from repro.parallel.decomposition import DistributedElasticOperator
 from repro.parallel.transport import (
+    ProcTransport,
+    ProcWorld,
     WorkerFailure,
     attach_shared_array,
     create_shared_array,
@@ -120,9 +124,29 @@ def recommend_sharding(
     return "shots"
 
 
+def _is_process_transport(world) -> bool:
+    """True for the worker-process transport (the master-side
+    :class:`ProcWorld` or a worker's :class:`ProcTransport` endpoint) —
+    the only place with channel capacities, real message latency, and
+    process-level fault injection."""
+    return isinstance(world, (ProcWorld, ProcTransport))
+
+
+def _bind_faults(comm, plan):
+    """Bind ``plan``'s send-path faults (drop/delay/corrupt) to the
+    rank's process-transport endpoint and return the endpoint, whose
+    ``fault_step`` the loop keeps current.  Returns None without a plan
+    or in-process: there only ``nan`` poisoning fires, since a ``kill``
+    would end the caller's own interpreter."""
+    if plan is None or not _is_process_transport(comm.world):
+        return None
+    comm.world.fault_plan = plan
+    return comm.world
+
+
 def _hoist_update_terms(m_local, C_local, dt):
     """Per-rank invariants of the central-difference update, computed
-    once (identically for both transports)."""
+    once on the master."""
     m2 = [2.0 * m for m in m_local]
     inv_A = [1.0 / (m + 0.5 * dt * C) for m, C in zip(m_local, C_local)]
     prev_coef = [-m + 0.5 * dt * C for m, C in zip(m_local, C_local)]
@@ -149,10 +173,29 @@ def _make_force_caller(force_fn, nnode: int):
     return lambda t: force_fn(t, buf)
 
 
+class _SharedForce:
+    """``force_fn`` evaluated once per time for all in-process ranks.
+
+    Under :meth:`SimWorld.run_spmd` one rank runs at a time and copies
+    its slice of the field before it can give the baton away, so the
+    ranks reaching time ``t`` can share the first one's evaluation.
+    """
+
+    def __init__(self, force_fn, nnode: int):
+        self._force = _make_force_caller(force_fn, nnode)
+        self._t = None
+        self._b = None
+
+    def __call__(self, t):
+        if t != self._t:
+            self._t, self._b = t, self._force(t)
+        return self._b
+
+
 def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
-    """One rank's in-place central-difference update.  Shared by the
-    in-process and worker-process paths so the arithmetic sequence is
-    bit-identical across transports."""
+    """One rank's in-place central-difference update (also the per-
+    perspective update of the fused program and the batched update of
+    the shot-sharded march)."""
     np.multiply(rhs, -dt2, out=rhs)
     np.multiply(m2, u, out=t_r)
     np.add(rhs, t_r, out=rhs)
@@ -166,9 +209,7 @@ def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
 
 def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
     """Per-level execution state for one rank's clustered-leapfrog loop
-    (see :mod:`repro.solver.lts` for the schedule contract).  Shared by
-    the in-process and worker-process paths so the per-rank arithmetic
-    is bit-identical across transports.
+    (see :mod:`repro.solver.lts` for the schedule contract).
 
     The level whose rate equals the common interface rate ``r_int``
     carries the rank's interface elements (they are clamped to exactly
@@ -259,9 +300,54 @@ def _lts_level_update(lev, u, u_prev, Ku, b):
     u[own] = r
 
 
+def _rank_start(comm, p, u_prev, u):
+    """Timeline, checkpoint manager and start step of a time-loop rank
+    program: returns ``(tl, mgr, k0)``.
+
+    The master's telemetry flag does not propagate into worker
+    processes, so per-step timeline recording is requested through the
+    payload (``tl`` is None otherwise); ``mgr`` exists only with a
+    checkpoint directory.  When resuming, the restart pair is loaded
+    into ``u_prev``/``u`` and ``k0`` is the step it continues from.
+    """
+    rank = comm.rank
+    tl = (
+        RankTimeline(rank, p["nsteps"],
+                     trace_id=telemetry.get_trace_context())
+        if p.get("timeline")
+        else None
+    )
+    mgr = None
+    if p.get("ckpt_dir"):
+        mgr = CheckpointManager(
+            p["ckpt_dir"], int(p.get("ckpt_every", 0) or 0),
+            keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
+        )
+    k0 = 0
+    if mgr is not None and p.get("resume_step") is not None:
+        ck = mgr.load_step(p["resume_step"])
+        u_prev[:] = ck.arrays["u_prev"]
+        u[:] = ck.arrays["u"]
+        k0 = int(ck.meta["next_k"])
+    return tl, mgr, k0
+
+
+def _rank_result(p, u, tl, **out):
+    """Write the grid points this rank is the lowest owner of into the
+    shared result array; returns ``out`` plus the recorded timeline."""
+    name, nnode_global = p["result"]
+    shm, res = attach_shared_array(name, (nnode_global, 3))
+    res[p["gather_nodes"]] = u[p["gather_local"]]
+    del res  # drop the exported view before closing the mapping
+    shm.close()
+    if tl is not None:
+        out["timeline"] = tl.to_payload()
+    return out
+
+
 def _rank_program_lts(comm, payload):
     """SPMD rank program for the clustered-LTS loop: one rank's full
-    multirate time march inside a persistent worker.
+    multirate time march.
 
     The loop runs over fine step indices at the rank's own finest rate;
     every level fires when due (coarsest first).  Only the common
@@ -292,46 +378,23 @@ def _rank_program_lts(comm, payload):
     t_compute = 0.0
     t_wait = 0.0
     clock = time.perf_counter
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
-    )
+    tl, mgr, k0 = _rank_start(comm, p, u_prev, u)
     dur = tl.durations if tl is not None else None
-
-    mgr = None
-    ckpt_every = int(p.get("ckpt_every", 0) or 0)
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"], ckpt_every,
-            keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
+    if k0 % r_sync:
+        raise ValueError(
+            f"LTS resume index {k0} is not a sync boundary "
+            f"(sync rate {r_sync})"
         )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        u_prev[:] = ck.arrays["u_prev"]
-        u[:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
-        if k0 % r_sync:
-            raise ValueError(
-                f"LTS resume index {k0} is not a sync boundary "
-                f"(sync rate {r_sync})"
-            )
     last_sync_saved = k0
     fplan = p.get("faults")
     health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = fplan  # send-path faults (drop/delay/corrupt)
+    endpoint = _bind_faults(comm, fplan)
 
     r_min = plan.min_rate
     for j in range(k0, nsteps, r_min):
-        if fplan is not None:
+        if endpoint is not None:
             fplan.on_step_begin(rank, j)
-            if hasattr(world, "fault_step"):
-                world.fault_step = j
+            endpoint.fault_step = j
         comm.heartbeat(j)
         t = j * dt
         tA = clock()
@@ -396,8 +459,8 @@ def _rank_program_lts(comm, payload):
                 check_finite(u, step=s - 1, rank=rank, field="u")
             if (
                 mgr is not None
-                and ckpt_every > 0
-                and s // ckpt_every > last_sync_saved // ckpt_every
+                and mgr.interval > 0
+                and s // mgr.interval > last_sync_saved // mgr.interval
             ):
                 mgr.save(
                     s - 1, {"u_prev": u_prev, "u": u},
@@ -405,32 +468,22 @@ def _rank_program_lts(comm, payload):
                 )
                 last_sync_saved = s
 
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
+    if endpoint is not None:
+        endpoint.fault_plan = None
 
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = u[p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {
-        "t_compute": t_compute,
-        "t_wait": t_wait,
-        "nsteps": nsteps,
-        "lts_fired": {lev["rate"]: lev["fired"] for lev in levels},
-    }
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return _rank_result(
+        p, u, tl, t_compute=t_compute, t_wait=t_wait, nsteps=nsteps,
+        lts_fired={lev["rate"]: lev["fired"] for lev in levels},
+    )
 
 
 def _rank_program(comm, payload):
-    """SPMD rank program: one rank's full time loop, executed inside a
-    persistent worker over the shared-memory transport.
+    """SPMD rank program: one rank's full time loop.
 
-    Boundary partial sums move through ``comm`` (double-buffered
-    channels: sends complete without waiting, so the interior matvec
-    genuinely overlaps the exchange); the final displacement lands in
+    Boundary partial sums move through ``comm`` (on the process
+    transport, double-buffered channels: sends complete without
+    waiting, so the interior matvec genuinely overlaps the exchange);
+    the final displacement lands in
     the named shared result array, each rank writing the grid points it
     is the lowest owner of.  Returns wall-time split into compute and
     communication-wait for the scaling benchmark.
@@ -440,15 +493,18 @@ def _rank_program(comm, payload):
     leapfrog restart pair every ``ckpt_every`` steps and the loop can
     start from a ``resume_step`` instead of rest; a bound
     :class:`~repro.resilience.FaultPlan` drives the injection hooks
-    (kill / send faults / NaN poisoning); ``health_interval`` arms the
+    (kill / send faults on the process transport, NaN poisoning on
+    both); ``health_interval`` arms the
     NaN/Inf sentinel; heartbeats keep the master's failure detector
     informed on long quiet stretches.
     """
     p = payload
-    op = ElasticOperator(
-        p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
-        split_elems=p["n_iface"],
-    )
+    op = p.get("op")  # in-process ranks share the master's operator
+    if op is None:
+        op = ElasticOperator(
+            p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
+            split_elems=p["n_iface"],
+        )
     neighbors = p["neighbors"]  # [(rank, local idx of shared nodes)]
     m2, inv_A, prev_coef = p["m2"], p["inv_A"], p["prev_coef"]
     dt, dt2, nsteps = p["dt"], p["dt"] * p["dt"], p["nsteps"]
@@ -465,44 +521,18 @@ def _rank_program(comm, payload):
     flops_mv = op.flops_per_matvec
     t_compute = 0.0
     t_wait = 0.0
-    # the master's telemetry flag does not propagate into the worker
-    # process, so per-step timeline recording is requested through the
-    # payload; the t0..t5 readings are taken either way (the scaling
-    # benchmark consumes t_compute/t_wait), recording just keeps them
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
-    )
+    # the t0..t5 readings are taken with or without a timeline (the
+    # scaling benchmark consumes t_compute/t_wait); recording keeps them
+    tl, mgr, k0 = _rank_start(comm, p, u_prev, u)
     dur = tl.durations if tl is not None else None
-
-    mgr = None
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"],
-            p.get("ckpt_every", 0),
-            keep=p.get("ckpt_keep", 3),
-            prefix=f"rank{rank}",
-        )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        u_prev[:] = ck.arrays["u_prev"]
-        u[:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
     plan = p.get("faults")
     health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if plan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = plan  # send-path faults (drop/delay/corrupt)
+    endpoint = _bind_faults(comm, plan)
 
     for k in range(k0, nsteps):
-        if plan is not None:
+        if endpoint is not None:
             plan.on_step_begin(rank, k)
-            if hasattr(world, "fault_step"):
-                world.fault_step = k
+            endpoint.fault_step = k
         comm.heartbeat(k)
         t = k * dt
         t0 = time.perf_counter()
@@ -545,25 +575,17 @@ def _rank_program(comm, payload):
         if mgr is not None and mgr.due(k):
             mgr.save(k, {"u_prev": u_prev, "u": u}, {"next_k": k + 1})
 
-    if plan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
+    if endpoint is not None:
+        endpoint.fault_plan = None
 
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = u[p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {"t_compute": t_compute, "t_wait": t_wait, "nsteps": nsteps}
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return _rank_result(
+        p, u, tl, t_compute=t_compute, t_wait=t_wait, nsteps=nsteps
+    )
 
 
 def _fused_build_state(p, dt):
     """Per-rank execution state for the fused (communication-avoiding)
     window march, built from the payload's perspective descriptions.
-    Shared by the in-process and worker-process paths so the per-rank
-    arithmetic is bit-identical across transports.
 
     The own perspective gets the identical split operator and hoisted
     update coefficients as the one-step-per-exchange program (same
@@ -659,8 +681,7 @@ def _fused_march_step(state, b_global, add_flops):
 
 def _rank_program_fused(comm, payload):
     """SPMD rank program for communication-avoiding stepping: march
-    ``k`` leapfrog steps per transport round-trip inside a persistent
-    worker.
+    ``k`` leapfrog steps per transport round-trip.
 
     Each window starts with one aggregated refresh per directed halo
     pair — the owner's ``[u; u_prev]`` restacked at the requester's
@@ -675,8 +696,9 @@ def _rank_program_fused(comm, payload):
     window boundaries — the only steps where the rank's own state is
     globally consistent — with the same quotient-advance cadence rule
     the LTS program uses, so collective-restart recovery works
-    unchanged; fault kill hooks still fire at every inner step, and a
-    mid-window kill rewinds to the last boundary checkpoint.
+    unchanged; on the process transport fault kill hooks still fire at
+    every inner step, and a mid-window kill rewinds to the last
+    boundary checkpoint.
     """
     p = payload
     k = int(p["k"])
@@ -688,45 +710,22 @@ def _rank_program_fused(comm, payload):
     clock = time.perf_counter
     t_compute = 0.0
     t_wait = 0.0
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
-    )
+    tl, mgr, k0 = _rank_start(comm, p, own["u_prev"], own["u"])
     dur = tl.durations if tl is not None else None
-
-    mgr = None
-    ckpt_every = int(p.get("ckpt_every", 0) or 0)
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"], ckpt_every,
-            keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
+    if k0 % k and k0 != nsteps:
+        raise ValueError(
+            f"fused resume index {k0} is not an exchange boundary "
+            f"(steps_per_exchange {k})"
         )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        own["u_prev"][:] = ck.arrays["u_prev"]
-        own["u"][:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
-        if k0 % k and k0 != nsteps:
-            raise ValueError(
-                f"fused resume index {k0} is not an exchange boundary "
-                f"(steps_per_exchange {k})"
-            )
     last_saved = k0
     fplan = p.get("faults")
     health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = fplan  # send-path faults (drop/delay/corrupt)
+    endpoint = _bind_faults(comm, fplan)
 
     for s0 in range(k0, nsteps, k):
-        if fplan is not None:
+        if endpoint is not None:
             fplan.on_step_begin(rank, s0)
-            if hasattr(world, "fault_step"):
-                world.fault_step = s0  # sends only happen at s0
+            endpoint.fault_step = s0  # sends only happen at s0
         comm.heartbeat(s0)
         # window-start refresh: every perspective's full restart pair,
         # one message per directed halo pair (also runs at step 0 and
@@ -751,7 +750,7 @@ def _rank_program_fused(comm, payload):
             dur[s0, 3] = t3 - t2  # recv
         s_end = min(s0 + k, nsteps)
         for s in range(s0, s_end):
-            if fplan is not None and s != s0:
+            if endpoint is not None and s != s0:
                 fplan.on_step_begin(rank, s)
             comm.heartbeat(s)
             tA = clock()
@@ -770,8 +769,8 @@ def _rank_program_fused(comm, payload):
             check_finite(own["u"], step=s_end - 1, rank=rank, field="u")
         if (
             mgr is not None
-            and ckpt_every > 0
-            and s_end // ckpt_every > last_saved // ckpt_every
+            and mgr.interval > 0
+            and s_end // mgr.interval > last_saved // mgr.interval
         ):
             mgr.save(
                 s_end - 1,
@@ -780,32 +779,20 @@ def _rank_program_fused(comm, payload):
             )
             last_saved = s_end
 
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
+    if endpoint is not None:
+        endpoint.fault_plan = None
 
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = own["u"][p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {
-        "t_compute": t_compute,
-        "t_wait": t_wait,
-        "nsteps": nsteps,
-        "fused_k": k,
-    }
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return _rank_result(
+        p, own["u"], tl, t_compute=t_compute, t_wait=t_wait,
+        nsteps=nsteps, fused_k=k,
+    )
 
 
 def _march_shot_slice(
-    op, m2, inv_A, prev_coef, force_fns, nnode, dt, nsteps, add_flops=None
+    op, m2, inv_A, prev_coef, force_fns, nnode, dt, nsteps, add_flops
 ):
     """March one worker's shot slice over the *whole* domain as a
-    single batched time loop.  Shared by the in-process and
-    worker-process paths so shot-sharded trajectories are bit-identical
-    across transports; each column also reproduces the corresponding
+    single batched time loop.  Each column reproduces the corresponding
     single-shot run bit for bit (the batched ``matmat`` guarantees
     per-column identity, and every other term is elementwise).
 
@@ -840,8 +827,7 @@ def _march_shot_slice(
             fbuf if live else None, dt2,
         )
         u_prev, u, u_next = u, u_next, u_prev
-        if add_flops is not None:
-            add_flops(flops_step)
+        add_flops(flops_step)
     return u
 
 
@@ -879,14 +865,13 @@ class DistributedWaveSolver:
     damping) are interface-summed once at setup, and the stiffness
     partial sums are exchanged every step.
 
-    ``world`` selects the transport: a
+    ``world`` selects the transport the rank programs run on: a
     :class:`~repro.parallel.simcomm.SimWorld` runs every rank
-    in-process (mailbox exchange, one core); a
-    :class:`~repro.parallel.transport.ProcWorld` dispatches the rank
-    programs to its persistent worker processes (shared-memory
-    exchange, N cores).  On the process transport ``force_fn`` must be
-    picklable (a module-level function or callable object) and
-    ``callback`` is not supported.
+    in-process on baton-scheduled threads (mailbox exchange, one core);
+    a :class:`~repro.parallel.transport.ProcWorld` runs them on its
+    persistent worker processes (shared-memory exchange, N cores).  On
+    the process transport ``force_fn`` must be picklable (a
+    module-level function or callable object).
     """
 
     def __init__(
@@ -1019,7 +1004,6 @@ class DistributedWaveSolver:
         force_fn: Callable[[float], np.ndarray],
         t_end: float,
         *,
-        callback: Callable[[int, float, np.ndarray], None] | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
         checkpoint_keep: int = 3,
@@ -1041,16 +1025,19 @@ class DistributedWaveSolver:
         restart pair (files ``rank{r}_{step}.ckpt`` in one directory);
         ``resume=True`` restarts from the last *collective* checkpoint
         (the newest step every rank holds a valid file for) instead of
-        rest — bit-identical to the uninterrupted run.  On the process
-        transport a :class:`~repro.parallel.transport.WorkerFailure`
+        rest — bit-identical to the uninterrupted run.  On a
+        :class:`~repro.parallel.simcomm.SimWorld` a failing rank's own
+        exception propagates.  On the process transport a
+        :class:`~repro.parallel.transport.WorkerFailure`
         (dead, hung, or erroring rank) triggers automatic recovery when
         checkpointing is on: respawn the worker pool, rewind to the
         last collective checkpoint, retry under ``retry`` (default
         :class:`~repro.resilience.RetryPolicy`) with exponential
         backoff.  ``faults`` takes a
         :class:`~repro.resilience.FaultPlan` for deterministic fault
-        injection; ``health_interval`` arms the NaN/Inf sentinel (and
-        re-validates the CFL bound up front) every that many steps.
+        injection (in-process only its ``nan`` faults fire);
+        ``health_interval`` arms the NaN/Inf sentinel (and re-validates
+        the CFL bound up front) every that many steps.
 
         ``lts`` (default: the constructor setting) turns on clustered
         local time stepping — see :meth:`_lts_setup`.  Ranks then
@@ -1109,12 +1096,6 @@ class DistributedWaveSolver:
             rp.shared_with for rp in self.dist.ranks
         ):
             k_fused, fallback = 1, "no interfaces"
-        if k_fused > 1 and callback is not None:
-            raise ValueError(
-                "callback is not supported with steps_per_exchange > 1 "
-                "(nodes are only globally consistent at exchange "
-                "boundaries)"
-            )
         fused_ctx = None
         if k_fused > 1:
             fused_ctx = {
@@ -1136,52 +1117,14 @@ class DistributedWaveSolver:
                 _s.add("lts_r_sync", ctx["r_sync"])
             if fused_ctx is not None:
                 _s.add("steps_per_exchange", k_fused)
-            if hasattr(self.world, "run_spmd"):
-                if callback is not None:
-                    raise ValueError(
-                        "callback is not supported on the process "
-                        "transport (state lives in the workers); use a "
-                        "SimWorld"
-                    )
-                return self._run_proc(
-                    force_fn, nsteps,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval, retry=retry,
-                    lts_ctx=ctx, fused_ctx=fused_ctx,
-                )
-            if fused_ctx is not None:
-                return self._run_sim_fused(
-                    force_fn, nsteps, fused_ctx,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval,
-                )
-            if ctx is not None:
-                if callback is not None:
-                    raise ValueError(
-                        "callback is not supported with lts (nodes are "
-                        "only globally consistent at sync boundaries)"
-                    )
-                return self._run_sim_lts(
-                    force_fn, nsteps, ctx,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval,
-                )
-            return self._run_sim(
-                force_fn, nsteps, callback,
+            return self._run_spmd(
+                force_fn, nsteps,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 checkpoint_keep=checkpoint_keep,
                 resume=resume, faults=faults,
-                health_interval=health_interval,
+                health_interval=health_interval, retry=retry,
+                lts_ctx=ctx, fused_ctx=fused_ctx,
             )
 
     def run_shots(self, force_fns: Sequence, t_end: float) -> np.ndarray:
@@ -1213,392 +1156,32 @@ class DistributedWaveSolver:
         prev_coef = prev_coef[0][:, :, None]
         slices = np.array_split(np.arange(B), self.world.nranks)
 
-        if hasattr(self.world, "run_spmd"):
-            shm, result = create_shared_array((B, mesh.nnode, 3))
-            try:
-                result.fill(0.0)
-                payloads = [
-                    {
-                        "conn": mesh.conn,
-                        "h": mesh.elem_h,
-                        "lam": self._lam,
-                        "mu": self._mu,
-                        "m2": m2,
-                        "inv_A": inv_A,
-                        "prev_coef": prev_coef,
-                        "dt": self.dt,
-                        "nsteps": nsteps,
-                        "shots": idx,
-                        "force_fns": [force_fns[i] for i in idx],
-                        "result": (shm.name, B, mesh.nnode),
-                    }
-                    for idx in slices
-                ]
-                self.last_timings = self.world.run_spmd(
-                    _shot_program, payloads
-                )
-                out = result.copy()
-            finally:
-                del result  # drop the exported view before closing
-                release_shared_array(shm)
-            return out
-
-        # in-process path: the identical per-slice arithmetic, one
-        # worker at a time (separate operators so each slice's batch
-        # workspace matches its width)
-        out = np.zeros((B, mesh.nnode, 3))
-        for r, idx in enumerate(slices):
-            if len(idx) == 0:
-                continue
-            op = ElasticOperator(
-                mesh.conn, mesh.elem_h, self._lam, self._mu, mesh.nnode
-            )
-            stats = self.world.stats[r]
-
-            def add_flops(n, stats=stats):
-                stats.flops += int(n)
-
-            u = _march_shot_slice(
-                op, m2, inv_A, prev_coef,
-                [force_fns[i] for i in idx],
-                mesh.nnode, self.dt, nsteps, add_flops=add_flops,
-            )
-            out[idx] = np.moveaxis(u, 2, 0)
+        shm, result = create_shared_array((B, mesh.nnode, 3))
+        try:
+            result.fill(0.0)
+            payloads = [
+                {
+                    "conn": mesh.conn,
+                    "h": mesh.elem_h,
+                    "lam": self._lam,
+                    "mu": self._mu,
+                    "m2": m2,
+                    "inv_A": inv_A,
+                    "prev_coef": prev_coef,
+                    "dt": self.dt,
+                    "nsteps": nsteps,
+                    "shots": idx,
+                    "force_fns": [force_fns[i] for i in idx],
+                    "result": (shm.name, B, mesh.nnode),
+                }
+                for idx in slices
+            ]
+            self.last_timings = self.world.run_spmd(_shot_program, payloads)
+            out = result.copy()
+        finally:
+            del result  # drop the exported view before closing
+            release_shared_array(shm)
         return out
-
-    # ------------------------------------------------- in-process path
-
-    def _run_sim(self, force_fn, nsteps, callback, *,
-                 checkpoint_dir=None, checkpoint_every=0,
-                 checkpoint_keep=3, resume=False, faults=None,
-                 health_interval=0):
-        world = self.world
-        dist = self.dist
-        dt = self.dt
-        dt2 = dt * dt
-        ranks = dist.ranks
-        # hoisted per-rank invariants and preallocated buffers: the
-        # step loop is fully in-place (matching the serial solver)
-        m2, inv_A, prev_coef = _hoist_update_terms(
-            self.m_local, self.C_local, dt
-        )
-        u_prev = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u_next = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        Ku = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        tmp = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, self.mesh.nnode)
-        # per-rank timelines (telemetry only): each rank's share of the
-        # globally ordered supersteps is timed individually, so the
-        # merged view is structurally equivalent to the process
-        # transport's (same ranks, steps, phases; wall times differ —
-        # here the "overlap" phases are serialized on one core)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
-                )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
-
-        # per-rank durable checkpoints: same on-disk layout as the
-        # process path, so runs resume across transports
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
-                )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    u_prev[r][:] = ck.arrays["u_prev"]
-                    u[r][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-
-        for k in range(k0, nsteps):
-            t = k * dt
-            b_global = force(t)
-            # phase 1: interface elements -> boundary partials complete
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                dist.ops[r].matvec_interface(u[r], Ku[r])
-                world.stats[r].flops += dist.ops[r].flops_per_matvec
-                if durs is not None:
-                    durs[r][k, 0] = clock() - _t
-            # phase 2: post all boundary sends
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                for o, (loc, _) in rp.shared_with.items():
-                    comms[r].Send(Ku[r][loc], o, tag=r)
-                if durs is not None:
-                    durs[r][k, 1] = clock() - _t
-            # phase 3: interior elements (the work the exchange hides
-            # behind on the process transport)
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                dist.ops[r].matvec_interior_acc(u[r], Ku[r])
-                if durs is not None:
-                    durs[r][k, 2] = clock() - _t
-            # phase 4: receive and accumulate partial sums
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                for o, (loc, _) in rp.shared_with.items():
-                    Ku[r][loc] += comms[r].Recv(o, tag=o)
-                    world.stats[r].flops += 3 * len(loc)
-                if rp.shared_with:
-                    world.stats[r].exchanges += 1
-                if durs is not None:
-                    durs[r][k, 3] = clock() - _t
-            # phase 5: local update (nodal data now consistent)
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                b = b_global[rp.nodes] if b_global is not None else None
-                _local_update(
-                    Ku[r], tmp[r], u[r], u_prev[r], u_next[r],
-                    m2[r], inv_A[r], prev_coef[r], b, dt2,
-                )
-                u_prev[r], u[r], u_next[r] = u[r], u_next[r], u_prev[r]
-                world.stats[r].flops += 15 * len(rp.nodes)
-                if durs is not None:
-                    durs[r][k, 4] = clock() - _t
-            if faults is not None:
-                # in-process: only state poisoning applies (kill/send
-                # faults exercise the worker-process machinery)
-                for r in range(world.nranks):
-                    faults.poison_state(r, k, u[r])
-            if health_interval and should_check(k, nsteps, health_interval):
-                for r in range(world.nranks):
-                    check_finite(u[r], step=k, rank=r, field="u")
-            if mgrs is not None and mgrs[0].due(k):
-                for r in range(world.nranks):
-                    mgrs[r].save(
-                        k,
-                        {"u_prev": u_prev[r], "u": u[r]},
-                        {"next_k": k + 1},
-                    )
-            if callback is not None:
-                callback(k, t, u)
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field(u)
-
-    def _run_sim_lts(self, force_fn, nsteps, ctx, *,
-                     checkpoint_dir=None, checkpoint_every=0,
-                     checkpoint_keep=3, resume=False, faults=None,
-                     health_interval=0):
-        """In-process clustered-LTS march: the identical per-rank
-        arithmetic as :func:`_rank_program_lts`, executed one rank at a
-        time with the interface exchange staged across ranks.
-
-        Per fine index, each rank first fires its levels **coarser**
-        than the interface rate, then — when the interface level is due
-        — all ranks run the four exchange phases (interface matvec /
-        send / interior / receive-accumulate-update) in the same global
-        order as the global-dt path, then each rank fires its **finer**
-        levels.  That reproduces every rank's coarsest-first firing
-        order exactly, so trajectories are bit-identical to the process
-        transport.
-        """
-        world = self.world
-        dist = self.dist
-        mesh = self.mesh
-        dt = self.dt
-        ranks = dist.ranks
-        plans = ctx["plans"]
-        r_int, r_sync = ctx["r_int"], ctx["r_sync"]
-        levels = [
-            _lts_rank_levels(
-                rp.local_conn, mesh.elem_h[rp.elements],
-                self._lam[rp.elements], self._mu[rp.elements],
-                len(rp.nodes), plans[r],
-                self.m_local[r], self.C_local[r],
-                dt, r_int, rp.n_iface_elems,
-            )
-            for r, rp in enumerate(ranks)
-        ]
-        # each rank's levels split around its interface-rate level (the
-        # coarsest-first order is: pre -> interface -> post)
-        pre = [[lv for lv in ls if lv["rate"] > r_int] for ls in levels]
-        ifc = [
-            next((lv for lv in ls if lv["rate"] == r_int), None)
-            for ls in levels
-        ] if r_int else [None] * len(levels)
-        post = [[lv for lv in ls if lv["rate"] < r_int] for ls in levels]
-        u_prev = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        Ku = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, mesh.nnode)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
-                )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
-
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
-                )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    u_prev[r][:] = ck.arrays["u_prev"]
-                    u[r][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-                if k0 % r_sync:
-                    raise ValueError(
-                        f"LTS resume index {k0} is not a sync boundary "
-                        f"(sync rate {r_sync})"
-                    )
-        last_sync_saved = k0
-
-        def fire_local(r, lev, j, b):
-            if durs is not None:
-                _t = clock()
-            lev["fired"] += 1
-            sv = _lts_interp_in(lev, u[r], u_prev[r], j)
-            lev["op"].matvec(u[r], out=Ku[r])
-            world.stats[r].flops += lev["op"].flops_per_matvec
-            _lts_interp_out(lev, u[r], sv)
-            _lts_level_update(lev, u[r], u_prev[r], Ku[r], b)
-            world.stats[r].flops += 15 * len(lev["own"])
-            if durs is not None:
-                durs[r][j, 0] += clock() - _t
-
-        r_min = min(p.min_rate for p in plans)
-        for j in range(k0, nsteps, r_min):
-            t = j * dt
-            b_global = force(t)
-            bs = [
-                b_global[rp.nodes] if b_global is not None else None
-                for rp in ranks
-            ]
-            # coarser-than-interface clusters: purely rank-local
-            for r in range(len(ranks)):
-                for lev in pre[r]:
-                    if j % lev["rate"] == 0:
-                        fire_local(r, lev, j, bs[r])
-            if r_int and j % r_int == 0:
-                # interface-rate clusters fire in the same four global
-                # phases as the global-dt loop (exchange overlap)
-                sv = [None] * len(ranks)
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None:
-                        continue
-                    if not lev["is_iface"]:  # neighborless rank
-                        fire_local(r, lev, j, bs[r])
-                        continue
-                    lev["fired"] += 1
-                    if durs is not None:
-                        _t = clock()
-                    sv[r] = _lts_interp_in(lev, u[r], u_prev[r], j)
-                    lev["op"].matvec_interface(u[r], Ku[r])
-                    world.stats[r].flops += lev["op"].flops_per_matvec
-                    if durs is not None:
-                        durs[r][j, 0] += clock() - _t
-                for r, rp in enumerate(ranks):
-                    if ifc[r] is None or not ifc[r]["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    for o, (loc, _) in rp.shared_with.items():
-                        comms[r].Send(Ku[r][loc], o, tag=r)
-                    if durs is not None:
-                        durs[r][j, 1] = clock() - _t
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None or not lev["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    lev["op"].matvec_interior_acc(u[r], Ku[r])
-                    _lts_interp_out(lev, u[r], sv[r])
-                    if durs is not None:
-                        durs[r][j, 2] = clock() - _t
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None or not lev["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    for o, (loc, _) in rp.shared_with.items():
-                        Ku[r][loc] += comms[r].Recv(o, tag=o)
-                        world.stats[r].flops += 3 * len(loc)
-                    if rp.shared_with:
-                        world.stats[r].exchanges += 1
-                    _lts_level_update(lev, u[r], u_prev[r], Ku[r], bs[r])
-                    world.stats[r].flops += 15 * len(lev["own"])
-                    if durs is not None:
-                        durs[r][j, 3] = clock() - _t
-            # finer-than-interface clusters: purely rank-local
-            for r in range(len(ranks)):
-                for lev in post[r]:
-                    if j % lev["rate"] == 0:
-                        fire_local(r, lev, j, bs[r])
-            s = j + r_min
-            if s % r_sync == 0:  # sync: every node holds u(s * dt)
-                if faults is not None:
-                    for r in range(world.nranks):
-                        faults.poison_state(r, s - 1, u[r])
-                if health_interval and should_check(
-                    s - 1, nsteps, health_interval
-                ):
-                    for r in range(world.nranks):
-                        check_finite(u[r], step=s - 1, rank=r, field="u")
-                if (
-                    mgrs is not None
-                    and checkpoint_every > 0
-                    and s // checkpoint_every
-                    > last_sync_saved // checkpoint_every
-                ):
-                    for r in range(world.nranks):
-                        mgrs[r].save(
-                            s - 1,
-                            {"u_prev": u_prev[r], "u": u[r]},
-                            {"next_k": s, "lts_rate": r_sync},
-                        )
-                    last_sync_saved = s
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field(u)
 
     # ------------------------------------- communication-avoiding path
 
@@ -1606,9 +1189,9 @@ class DistributedWaveSolver:
         """Transport-ready description of one rank's k-deep halo: the
         perspective operators' inputs (owner-ordered element subsets,
         material and mass/damping slices), the inter-perspective
-        partial-sum adds, and the window-refresh send lists.  Shared by
-        the in-process and worker-process paths; everything is a plain
-        numpy array, so the dict pickles straight into a worker."""
+        partial-sum adds, and the window-refresh send lists.  Everything
+        is a plain numpy array, so the dict pickles straight into a
+        worker."""
         mesh = self.mesh
         persp = []
         for o in sorted(halo.perspectives):
@@ -1678,7 +1261,7 @@ class DistributedWaveSolver:
                 op.matvec(u, out=Ku)
             per_mv = (time.perf_counter() - t0) / reps
             flop_rate = op.flops_per_matvec / max(per_mv, 1e-12)
-            if hasattr(self.world, "run_spmd") and self.world.nranks >= 2:
+            if _is_process_transport(self.world) and self.world.nranks >= 2:
                 from repro.parallel.transport import calibrate_transport
 
                 # memoized process-wide: repeat "auto" runs over the
@@ -1702,164 +1285,45 @@ class DistributedWaveSolver:
             self.dist, machine, candidates=candidates, nsteps=nsteps
         )
 
-    def _run_sim_fused(self, force_fn, nsteps, fused_ctx, *,
-                       checkpoint_dir=None, checkpoint_every=0,
-                       checkpoint_keep=3, resume=False, faults=None,
-                       health_interval=0):
-        """In-process communication-avoiding march: the identical
-        per-rank arithmetic as :func:`_rank_program_fused`, executed
-        one rank at a time with the window refresh staged across ranks
-        (every rank posts its sends before any rank receives — each
-        rank's window march depends only on its own refreshed state, so
-        the rank-at-a-time schedule is bit-identical to the concurrent
-        process transport)."""
-        world = self.world
-        dist = self.dist
-        dt = self.dt
-        k = fused_ctx["k"]
-        states = [
-            _fused_build_state(self._fused_payload(h), dt)
-            for h in fused_ctx["halos"].halos
-        ]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, self.mesh.nnode)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
-                )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
+    # ------------------------------------------------- SPMD execution
 
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
-                )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    own = states[r]["own"]
-                    own["u_prev"][:] = ck.arrays["u_prev"]
-                    own["u"][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-                if k0 % k and k0 != nsteps:
-                    raise ValueError(
-                        f"fused resume index {k0} is not an exchange "
-                        f"boundary (steps_per_exchange {k})"
-                    )
-        last_saved = k0
-
-        for s0 in range(k0, nsteps, k):
-            s_end = min(s0 + k, nsteps)
-            # phase 1: every rank posts its window-refresh messages
-            for r, st in enumerate(states):
-                if durs is not None:
-                    _t = clock()
-                own = st["own"]
-                for dest, idx, sbuf in st["sends"]:
-                    np.take(own["u"], idx, axis=0, out=sbuf[0])
-                    np.take(own["u_prev"], idx, axis=0, out=sbuf[1])
-                    comms[r].Send(sbuf, dest, tag=r)
-                if durs is not None:
-                    durs[r][s0, 1] = clock() - _t
-            # phase 2: each rank refreshes its ghosts and marches its
-            # whole window locally
-            for r, st in enumerate(states):
-                if durs is not None:
-                    _t = clock()
-                for o, rbuf in st["recvs"]:
-                    comms[r].Recv(o, tag=o, out=rbuf)
-                    q = st["persps"][o]
-                    q["u"][:] = rbuf[0]
-                    q["u_prev"][:] = rbuf[1]
-                if st["sends"] or st["recvs"]:
-                    world.stats[r].exchanges += 1
-                if durs is not None:
-                    durs[r][s0, 3] = clock() - _t
-                for s in range(s0, s_end):
-                    if durs is not None:
-                        _t = clock()
-                    b_global = force(s * dt)
-                    _fused_march_step(st, b_global, comms[r].add_flops)
-                    if durs is not None:
-                        durs[r][s, 0] += clock() - _t
-            # window boundary: own states hold x^{s_end} exactly
-            if faults is not None:
-                for r in range(world.nranks):
-                    faults.poison_state(
-                        r, s_end - 1, states[r]["own"]["u"]
-                    )
-            if health_interval and should_check(
-                s_end - 1, nsteps, health_interval
-            ):
-                for r in range(world.nranks):
-                    check_finite(
-                        states[r]["own"]["u"],
-                        step=s_end - 1, rank=r, field="u",
-                    )
-            if (
-                mgrs is not None
-                and checkpoint_every > 0
-                and s_end // checkpoint_every
-                > last_saved // checkpoint_every
-            ):
-                for r in range(world.nranks):
-                    own = states[r]["own"]
-                    mgrs[r].save(
-                        s_end - 1,
-                        {"u_prev": own["u_prev"], "u": own["u"]},
-                        {"next_k": s_end, "fused_k": k},
-                    )
-                last_saved = s_end
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field([st["own"]["u"] for st in states])
-
-    # --------------------------------------------- worker-process path
-
-    def _run_proc(self, force_fn, nsteps, *, checkpoint_dir=None,
+    def _run_spmd(self, force_fn, nsteps, *, checkpoint_dir=None,
                   checkpoint_every=0, checkpoint_keep=3, resume=False,
                   faults=None, health_interval=0, retry=None,
                   lts_ctx=None, fused_ctx=None):
+        """Build every rank's payload and run the schedule's rank
+        program on ``self.world``.  The respawn-and-rewind recovery
+        loop engages only on a process transport's
+        :class:`WorkerFailure`; in-process, a rank's own exception
+        propagates."""
         world = self.world
         dist = self.dist
         mesh = self.mesh
-        if fused_ctx is not None:
-            # fused windows replace per-step interface messages with
-            # one aggregated [u; u_prev] refresh per directed halo pair
-            max_msg = fused_ctx["halos"].max_message_bytes()
-            kind = "window-refresh"
-        else:
-            max_msg = max(
-                (
-                    24 * len(loc)
-                    for rp in dist.ranks
-                    for (loc, _) in rp.shared_with.values()
-                ),
-                default=0,
-            )
-            kind = "interface"
-        if max_msg > world.slot_bytes:
-            raise ValueError(
-                f"largest {kind} message is {max_msg} bytes but the "
-                f"ProcWorld channels hold {world.slot_bytes}; rebuild the "
-                f"world with slot_bytes >= {max_msg}"
-            )
+        in_process = not _is_process_transport(world)
+        if not in_process:
+            # an oversized message would deadlock a channel slot
+            if fused_ctx is not None:
+                # fused windows replace per-step interface messages with
+                # one aggregated [u; u_prev] refresh per directed halo
+                # pair
+                max_msg = fused_ctx["halos"].max_message_bytes()
+                kind = "window-refresh"
+            else:
+                max_msg = max(
+                    (
+                        24 * len(loc)
+                        for rp in dist.ranks
+                        for (loc, _) in rp.shared_with.values()
+                    ),
+                    default=0,
+                )
+                kind = "interface"
+            if max_msg > world.slot_bytes:
+                raise ValueError(
+                    f"largest {kind} message is {max_msg} bytes but the "
+                    f"ProcWorld channels hold {world.slot_bytes}; rebuild "
+                    f"the world with slot_bytes >= {max_msg}"
+                )
         m2, inv_A, prev_coef = _hoist_update_terms(
             self.m_local, self.C_local, self.dt
         )
@@ -1871,6 +1335,8 @@ class DistributedWaveSolver:
             resume_step = collective_latest_step(
                 checkpoint_dir, world.nranks
             )
+        if in_process:
+            force_fn = _SharedForce(force_fn, mesh.nnode)
         shm, result = create_shared_array((mesh.nnode, 3))
         try:
             attempt = 0
@@ -1922,6 +1388,8 @@ class DistributedWaveSolver:
                             m2=m2[r], inv_A=inv_A[r],
                             prev_coef=prev_coef[r],
                         )
+                        if in_process:
+                            pl["op"] = dist.ops[r]
                     else:
                         # the LTS program hoists per-level coefficients
                         # itself, from the raw mass/damping slices

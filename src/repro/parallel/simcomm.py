@@ -8,15 +8,21 @@ small world-side protocol below — so the same SPMD rank program runs
 unchanged over either backing:
 
 * :class:`SimWorld` (this module): ``P`` in-process mailboxes moved
-  through deques — parallel *semantics* (who sends what to whom each
-  step) execute for real, only the clock is modeled;
+  through deques.  :meth:`SimWorld.run_spmd` runs each rank program on
+  its own thread, but a single baton lets exactly one rank execute at a
+  time, handed on only when a rank blocks on an empty mailbox or
+  finishes — parallel *semantics* (who sends what to whom each step)
+  execute for real, deterministically on one core; only the clock is
+  modeled;
 * :class:`repro.parallel.transport.ProcWorld`: persistent worker
   processes with double-buffered shared-memory channels — real cores,
   real wall time.
 
-Every send is accounted (count + payload bytes) per rank, which the
-machine model converts to network time, and which the transport
-equivalence tests compare across backings message for message.
+Both worlds run the very same rank programs, so their results and
+per-rank accounting agree by construction.  Every send is accounted
+(count + payload bytes) per rank, which the machine model converts to
+network time, and which the transport equivalence tests compare across
+backings message for message.
 
 Transport protocol (what a world must provide to back a ``SimComm``)::
 
@@ -31,6 +37,9 @@ Transport protocol (what a world must provide to back a ``SimComm``)::
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -201,8 +210,104 @@ class SimComm:
             hb(self.rank, step)
 
 
+class _RankAborted(BaseException):
+    """Unwinds a rank of a failed :meth:`SimWorld.run_spmd` at its next
+    scheduling point (a ``BaseException`` so that a program's own
+    ``except Exception`` cannot swallow it)."""
+
+
+def _current_cpu() -> int | None:
+    """The core the calling thread runs on (Linux), else None."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _set_affinity(cpus) -> None:
+    """Restrict the calling thread to ``cpus`` (best effort)."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+class _Baton:
+    """The single execution right of one :meth:`SimWorld.run_spmd`.
+
+    Only the rank that holds the baton runs; every other rank thread
+    blocks on its own ``go`` lock, which the holder releases to hand
+    the baton on, so a hand-off wakes just the new holder.  A rank
+    gives the baton away only when it parks (a receive from an empty
+    mailbox) or finishes, so everything a rank does between two
+    receives — including copying a shared force buffer into its own
+    arrays — completes before any other rank runs.  Only the holder
+    reads or writes the fields (the caller, before the first hand-off).
+    """
+
+    def __init__(self, nranks: int):
+        self._go = [threading.Lock() for _ in range(nranks)]
+        for go in self._go:
+            go.acquire()
+        self.done = [False] * nranks
+        #: parked rank -> the (empty) mailbox it waits on
+        self.parked: dict[int, deque] = {}
+        self.failed = False
+        # waiting ranks sleep on the caller's core, so a hand-off wakes
+        # the next rank where the last one ran, not on another (maybe
+        # idle) core; running ranks get the caller's mask back, so
+        # threads they start do not inherit the pin
+        self._cpu = _current_cpu()
+        self._mask = os.sched_getaffinity(0) if self._cpu is not None else None
+
+    def wait(self, rank: int) -> None:
+        """Block until ``rank`` holds the baton; unwinds the rank once
+        another rank has failed."""
+        if self._cpu is None:
+            self._go[rank].acquire()
+        else:
+            _set_affinity({self._cpu})
+            self._go[rank].acquire()
+            _set_affinity(self._mask)
+        if self.failed:
+            raise _RankAborted
+
+    def pass_on(self, rank: int) -> None:
+        """Hand the baton to the next runnable rank, round robin from
+        ``rank + 1``.  When every unfinished rank is parked on a
+        mailbox that is still empty, the first of them gets it anyway,
+        so its receive reports the deadlock instead of hanging."""
+        n = len(self.done)
+        live = [
+            r for r in ((rank + i) % n for i in range(1, n + 1))
+            if not self.done[r]
+        ]
+        ready = [
+            r for r in live
+            if self.failed or r not in self.parked or self.parked[r]
+        ]
+        holder = (ready or live or [None])[0]
+        if holder is not None:
+            self._go[holder].release()
+
+    def park(self, rank: int, box: deque) -> None:
+        """Give the baton away until ``box`` holds a message (or the run
+        is deadlocked — the caller re-checks)."""
+        self.parked[rank] = box
+        try:
+            self.pass_on(rank)
+            self.wait(rank)
+        finally:
+            del self.parked[rank]
+
+
 class SimWorld:
-    """A set of ``P`` simulated ranks sharing in-memory mailboxes."""
+    """A set of ``P`` simulated ranks sharing in-memory mailboxes.
+
+    Rank programs run through :meth:`run_spmd`, with the same contract
+    as :meth:`repro.parallel.transport.ProcWorld.run_spmd`.  Outside a
+    program, :meth:`comms` hands out endpoints that the caller drives
+    in lockstep: a receive from an empty mailbox raises at once.
+    """
 
     def __init__(self, nranks: int):
         if nranks < 1:
@@ -210,6 +315,7 @@ class SimWorld:
         self.nranks = nranks
         self._mail: dict[tuple[int, int, int], deque] = defaultdict(deque)
         self.stats = [TrafficStats() for _ in range(nranks)]
+        self._baton: _Baton | None = None
 
     def comm(self, rank: int) -> SimComm:
         if not 0 <= rank < self.nranks:
@@ -225,33 +331,76 @@ class SimWorld:
             out.merge(s)
         return out
 
+    def run_spmd(self, program, payloads: list) -> list:
+        """Run ``program(comm, payload)`` once per rank; returns the
+        per-rank results.
+
+        Each rank runs on its own thread (sharing the caller's
+        process-wide trace context), but a baton lets exactly one rank
+        execute at a time.  The holder passes it on, round robin, only
+        when it receives from an empty mailbox or when it returns or
+        raises — so a run is single-core and deterministic.  When every
+        unfinished rank waits on an empty mailbox, the blocked receive
+        raises the same ``RuntimeError`` as a lockstep receive would.
+        When a rank raises, the other ranks are unwound at their next
+        scheduling point, the mailboxes are emptied, and the first
+        failing rank's own exception is re-raised (not wrapped in a
+        :class:`~repro.parallel.transport.WorkerFailure`).
+        """
+        if len(payloads) != self.nranks:
+            raise ValueError("one payload per rank required")
+        if self._baton is not None:
+            raise RuntimeError("run_spmd is already running on this world")
+        baton = self._baton = _Baton(self.nranks)
+        results: list = [None] * self.nranks
+        errors: list = []
+
+        def rank_main(rank: int) -> None:
+            try:
+                baton.wait(rank)
+                results[rank] = program(self.comm(rank), payloads[rank])
+            except _RankAborted:
+                pass
+            except BaseException as exc:  # re-raised by the caller
+                errors.append(exc)
+                baton.failed = True
+            finally:
+                baton.done[rank] = True
+                baton.pass_on(rank)
+
+        threads = [
+            threading.Thread(
+                target=rank_main, args=(r,), name=f"simworld-rank{r}",
+                daemon=True,
+            )
+            for r in range(self.nranks)
+        ]
+        try:
+            # no rank runs before every thread has started (a running
+            # rank would contend for the GIL with the starting loop)
+            for t in threads:
+                t.start()
+            baton.pass_on(self.nranks - 1)  # to rank 0
+            for t in threads:
+                t.join()
+        finally:
+            self._baton = None
+        if errors:
+            self._mail.clear()  # the failed program's undelivered sends
+            raise errors[0]
+        return results
+
     def allreduce(self, values: list[float], op=sum) -> float:
-        """World-level scalar allreduce (one value per rank), executed
-        as a binomial reduce + broadcast through the mailboxes — the
-        per-rank message/byte accounting is *measured* from the same
-        tree the process transport walks, not modeled."""
+        """World-level scalar allreduce (one value per rank): every
+        rank walks :meth:`SimComm.Allreduce`'s binomial tree through
+        the mailboxes — the same program :meth:`ProcWorld.allreduce`
+        runs, so the per-rank message/byte accounting is *measured*,
+        not modeled."""
         if len(values) != self.nranks:
             raise ValueError("one value per rank required")
-        vals = [float(v) for v in values]
-        rounds = binomial_rounds(self.nranks)
-        for pairs in rounds:  # reduce toward rank 0
-            for child, parent in pairs:
-                self.comm(child).Send(
-                    np.array([vals[child]]), parent, tag=COLLECTIVE_TAG
-                )
-            for child, parent in pairs:
-                got = self.comm(parent).Recv(child, tag=COLLECTIVE_TAG)
-                vals[parent] = float(op([vals[parent], float(got[0])]))
-        for pairs in reversed(rounds):  # broadcast back down
-            for child, parent in pairs:
-                self.comm(parent).Send(
-                    np.array([vals[parent]]), child, tag=COLLECTIVE_TAG
-                )
-            for child, parent in pairs:
-                vals[child] = float(
-                    self.comm(child).Recv(parent, tag=COLLECTIVE_TAG)[0]
-                )
-        return vals[0]
+        return self.run_spmd(
+            _allreduce_program, [(float(v), op) for v in values]
+        )[0]
 
     # ------------------------------------------------ transport protocol
 
@@ -266,6 +415,8 @@ class SimWorld:
         self, rank: int, source: int, tag: int, out: np.ndarray | None = None
     ) -> np.ndarray:
         box = self._mail[(source, rank, tag)]
+        if not box and self._baton is not None:
+            self._baton.park(rank, box)
         if not box:
             raise RuntimeError(
                 f"rank {rank}: no message from {source} tag {tag}"
@@ -277,10 +428,19 @@ class SimWorld:
         return got
 
     def _barrier(self, rank: int) -> None:
-        pass  # supersteps are globally ordered in-process
+        # lockstep callers order their supersteps themselves; rank
+        # programs under run_spmd synchronise only through mailbox
+        # receives, which already wait for the matching send
+        pass
 
     def _add_flops(self, rank: int, n: int) -> None:
         self.stats[rank].flops += int(n)
 
     def rank_stats(self, rank: int) -> TrafficStats:
         return self.stats[rank]
+
+
+def _allreduce_program(comm, payload):
+    """Rank program behind both worlds' ``allreduce``."""
+    value, op = payload
+    return comm.Allreduce(value, op=op)

@@ -60,7 +60,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.parallel.simcomm import SimComm, TrafficStats
+from repro.parallel.simcomm import SimComm, TrafficStats, _allreduce_program
 from repro.telemetry import spans
 
 _HDR = 6  # per-slot header int64s: tag, ndim, shape[0..2], crc32
@@ -333,9 +333,9 @@ class ProcWorld:
 
     Mirrors the master-side surface of :class:`SimWorld` that the
     decomposition and solver layers use (``nranks``, ``stats``,
-    ``total_stats``), and adds :meth:`run_spmd` for executing rank
-    programs on real cores.  Workers are daemonic: they die with the
-    master even if :meth:`close` is never reached.
+    ``total_stats``, ``allreduce``), and its :meth:`run_spmd` runs the
+    same rank programs on real cores.  Workers are daemonic: they die
+    with the master even if :meth:`close` is never reached.
 
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity
@@ -630,11 +630,6 @@ class ProcWorld:
             self.close(force=True)
         except Exception:
             pass
-
-
-def _allreduce_program(comm, payload):
-    value, op = payload
-    return comm.Allreduce(value, op=op)
 
 
 # ----------------------------------------------- shared bulk state

@@ -284,11 +284,6 @@ def test_fused_rejects_callback_and_bad_k():
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
     with pytest.raises(ValueError, match="steps_per_exchange"):
         solver.run(force, 4.5 * solver.dt, steps_per_exchange=0)
-    with pytest.raises(ValueError, match="callback"):
-        solver.run(
-            force, 4.5 * solver.dt, steps_per_exchange=2,
-            callback=lambda k, t, u: None,
-        )
 
 
 def test_choose_steps_per_exchange_latency_tradeoff():

@@ -425,15 +425,12 @@ def test_simworld_resume_bit_identical(tmp_path):
 
     d = str(tmp_path)
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
-
-    def crash(k, t, u):
-        if k == 15:
-            raise Interrupt
-
-    with pytest.raises(Interrupt):
+    # crash both ranks at step 15 through the health sentinel
+    crash = FaultPlan([FaultSpec("nan", rank=r, step=15) for r in (0, 1)])
+    with pytest.raises(NumericalHealthError):
         solver.run(
-            force, t_end, callback=crash, checkpoint_dir=d,
-            checkpoint_every=6,
+            force, t_end, checkpoint_dir=d, checkpoint_every=6,
+            faults=crash, health_interval=1,
         )
     assert collective_latest_step(d, 2) == 11
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
@@ -448,6 +445,19 @@ def test_simworld_nan_injection_names_rank():
     with pytest.raises(NumericalHealthError) as ei:
         solver.run(force, 20.5 * solver.dt, faults=plan, health_interval=1)
     assert ei.value.rank == 1 and ei.value.step == 9
+
+
+def test_simworld_ignores_kill_fault():
+    # an in-process kill would os._exit the interpreter running the test
+    mesh, parts, force = _dist_problem()
+    solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
+    t_end = 20.5 * solver.dt
+    u_ref = solver.run(force, t_end)
+    plan = FaultPlan.parse("kill:rank=1,step=6")
+    solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
+    u = solver.run(force, t_end, faults=plan)
+    assert plan.fired == []
+    assert np.array_equal(u, u_ref)
 
 
 # ------------------------------------------------ distributed: ProcWorld

@@ -9,6 +9,8 @@ path, and every measured byte/message count means the same thing on
 both.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,55 @@ def test_worker_error_propagates():
         assert world.allreduce([1.0, 1.0]) == 2.0
 
 
+def test_simworld_run_spmd_reraises_rank_error():
+    world = SimWorld(2)
+    # the rank's own exception, not a WorkerFailure wrapper
+    with pytest.raises(ValueError, match="rank 1 exploded"):
+        world.run_spmd(_boom_program, [None, None])
+    # the world survives a failed program
+    assert world.allreduce([1.0, 1.0]) == 2.0
+
+
+def _orphan_recv_program(comm, payload):
+    if comm.rank == 0:
+        comm.Recv(1, tag=7)  # rank 1 never sends
+    return comm.rank
+
+
+def test_simworld_run_spmd_reports_deadlock():
+    with pytest.raises(RuntimeError, match="rank 0: no message from 1 tag 7"):
+        SimWorld(2).run_spmd(_orphan_recv_program, [None, None])
+
+
+def _ring_program(comm, rounds):
+    # every rank adds its left neighbour's value, round after round;
+    # the receive usually finds an empty mailbox, so the baton moves
+    v = np.array([float(comm.rank)])
+    left = (comm.rank - 1) % comm.size
+    for _ in range(rounds):
+        comm.Send(v, (comm.rank + 1) % comm.size, tag=3)
+        v = v + comm.Recv(left, tag=3)
+    return float(v[0])
+
+
+def test_simworld_run_spmd_ring_stress():
+    # more rank threads than cores, with frequent interpreter switches:
+    # a lost or reordered message would change the sums
+    nranks, rounds = 8, 40
+    want = np.arange(nranks, dtype=float)
+    for _ in range(rounds):
+        want = want + np.roll(want, 1)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        world = SimWorld(nranks)
+        got = world.run_spmd(_ring_program, [rounds] * nranks)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want.tolist()
+    assert all(s.messages_sent == rounds for s in world.stats)
+
+
 def test_shared_array_roundtrip():
     shm, view = create_shared_array((7, 3))
     try:
@@ -159,16 +210,6 @@ def test_measure_transport_sane():
         assert nbytes in (64, 1024)
         assert burst in (1, 2)
         assert seconds > 0
-
-
-def test_callback_rejected_on_process_transport():
-    mesh = uniform_hex_mesh(4)
-    parts = rcb_partition(mesh.elem_centers, 2)
-    force = PointForce(0, mesh.nnode)
-    with ProcWorld(2) as proc:
-        solver = DistributedWaveSolver(mesh, MAT, parts, proc, dt=1e-3)
-        with pytest.raises(ValueError, match="callback"):
-            solver.run(force, 5e-3, callback=lambda k, t, u: None)
 
 
 # --------------------------------------------- checkpoint_schedule edges
