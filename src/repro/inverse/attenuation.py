@@ -104,33 +104,32 @@ class AttenuationInverseProblem:
     # ------------------------------------------------------------ adjoint
 
     def _adjoint(self, alpha_e: np.ndarray, rhs_series: np.ndarray):
+        """Reversed adjoint march; returns the view ``lam^2 .. lam^N``
+        of its history (see ``ScalarWaveInverseProblem._adjoint_states``)."""
         N = self.nsteps
+        fbuf = np.zeros(self.solver.nnode)  # only receiver entries change
 
         def forcing(mrev):
             j = N + 1 - mrev
-            f = np.zeros(self.solver.nnode)
-            f[self.receivers] = -self.dt * rhs_series[j]
-            return f
+            fbuf[self.receivers] = -self.dt * rhs_series[j]
+            return fbuf
 
         x = self.solver.march(
             self.mu_e, forcing, N, self.dt, store=True, alpha=alpha_e
         )
         self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
+        return x[2 : N + 1][::-1]
 
     def _accumulate(self, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """``(dt/2) sum_k lam^{k+1,T} (dC/dalpha_e) (u^{k+1} - u^{k-1})``
+        for ``lam`` as returned by :meth:`_adjoint`; the bilinear sum
+        splits over the difference, so no differenced history is
+        formed."""
         N = self.nsteps
-        dt = self.dt
-        g = np.zeros(self.solver.nelem)
-        chunk = 128
-        for k0 in range(1, N, chunk):
-            ks = np.arange(k0, min(k0 + chunk, N))
-            g += 0.5 * dt * self.solver.alpha_material_gradient_batch(
-                u[ks + 1] - u[ks - 1], lam[ks + 1]
-            )
-        return self.P.T @ g
+        s = self.solver
+        g = s.element_bilinear_sum(s.dC_dalpha, u[2 : N + 1], lam)
+        g -= s.element_bilinear_sum(s.dC_dalpha, u[: N - 1], lam)
+        return self.P.T @ (0.5 * self.dt * g)
 
     def gradient(self, m, state: AttenuationForwardState | None = None):
         if state is None:

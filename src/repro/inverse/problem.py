@@ -322,89 +322,65 @@ class ScalarWaveInverseProblem:
     # ----------------------------------------------------------- adjoint
 
     def _adjoint_states(
-        self, mu_e: np.ndarray, rhs_series: np.ndarray
+        self, mu_e: np.ndarray, rhs_list: list[np.ndarray]
     ) -> np.ndarray:
-        """Solve the adjoint recurrence for nodal forcing series
-        ``rhs_series`` of shape ``(nsteps+1, nrec)`` (receiver values);
-        returns ``lam`` with ``lam[j]`` valid for ``j = 2 .. nsteps``.
+        """Solve the adjoint recurrence: shot ``s``'s receiver forcing
+        series ``rhs_list[s]`` ``(nsteps+1, nrec)`` drives adjoint
+        column ``s``, all shots in ONE (batched) reversed march.
 
         The adjoint is the same leapfrog with time reversed: with
         ``x^m := lam^{N+2-m}``, the recurrence and the dissipative sign
         of the absorbing boundary are unchanged (paper eq. 3.3).
+        Returns the reversed view ``x[N:1:-1]`` of the march history —
+        ``lam^2 .. lam^N``, ``(nsteps-1, nnode[, B])`` — without copying.
         """
         N = self.nsteps
+        batch = None if self._single else self.B
         # single reusable forcing buffer: only the receiver entries are
         # ever nonzero, so overwriting them each step keeps it correct
-        fbuf = np.zeros(self.solver.nnode)
+        fbuf = np.zeros((self.solver.nnode,) + ((batch,) if batch else ()))
+        cols = fbuf.reshape(self.solver.nnode, -1).T  # one view per shot
 
         def forcing(mrev: int):
             j = N + 1 - mrev
-            fbuf[self.receivers] = -self.dt * rhs_series[j]
-            return fbuf
-
-        with telemetry.span("inverse.adjoint") as _s:
-            x = self.solver.march(mu_e, forcing, N, self.dt, store=True)
-            _s.add("wave_solves", 1)
-        self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _adjoint_states_multi(
-        self, mu_e: np.ndarray, rhs_list: list[np.ndarray]
-    ) -> np.ndarray:
-        """Batched :meth:`_adjoint_states`: shot ``s``'s receiver
-        residual series drives adjoint column ``s``, all columns in
-        ONE reversed march.  Returns ``lam`` ``(N+1, nnode, B)``."""
-        N = self.nsteps
-        fbuf = np.zeros((self.solver.nnode, self.B))
-        recs = [s.receivers for s in self.shots]
-
-        def forcing(mrev: int):
-            j = N + 1 - mrev
-            for s, rs in enumerate(recs):
-                fbuf[rs, s] = -self.dt * rhs_list[s][j]
+            for col, shot, rhs in zip(cols, self.shots, rhs_list):
+                col[shot.receivers] = -self.dt * rhs[j]
             return fbuf
 
         with telemetry.span("inverse.adjoint") as _s:
             x = self.solver.march(
-                mu_e, forcing, N, self.dt, store=True, batch=self.B
+                mu_e, forcing, N, self.dt, store=True, batch=batch
             )
             _s.add("wave_solves", 1)
         self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode, self.B))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
+        return x[2 : N + 1][::-1]
 
     def _material_accumulation(
         self, mu_e: np.ndarray, u: np.ndarray, lam: np.ndarray
     ) -> np.ndarray:
         """``g_e = sum_k lam^{k+1,T} [dt^2 K_e u^k + (dt/2) C_e (u^{k+1}
-        - u^{k-1}) - dt^2 db^k/dmu_e]`` — shared by gradient and GN Hv.
-
-        Vectorized over time in chunks (the accumulation dominates the
-        cost of a gradient once the wave solves are cheap).  Multi-shot
-        fields ``(nt, nnode, B)`` contract over time *and* shots; the
-        per-shot fault coupling slices its own column."""
+        - u^{k-1}) - dt^2 db^k/dmu_e]`` over ``k = 1 .. N-1`` — shared by
+        gradient and GN Hv.  ``lam`` is :meth:`_adjoint_states`' view
+        (``lam[i] = lam^{i+2}``).  One pass over the whole history;
+        single-shot fields are the ``B = 1`` case of the shot batch
+        ``(nt, nnode, B)``, and each shot's fault coupling reads its own
+        column."""
         N = self.nsteps
         dt = self.dt
-        g = np.zeros(self.solver.nelem)
-        chunk = 128
-        multi = u.ndim == 3
-        for k0 in range(1, N, chunk):
-            ks = np.arange(k0, min(k0 + chunk, N))
-            L = lam[ks + 1]
-            g += dt**2 * self.solver.K_material_gradient_batch(u[ks], L)
-            g += 0.5 * dt * self.solver.C_material_gradient_batch(
-                u[ks + 1] - u[ks - 1], L, mu_e
+        solver = self.solver
+        u = u.reshape(*u.shape[:2], -1)
+        lam = lam.reshape(*lam.shape[:2], -1)
+        g = dt**2 * solver.element_bilinear_sum(solver.dK_dmu, u[1:N], lam)
+        g += 0.5 * dt * solver.C_material_gradient(
+            u[2 : N + 1], u[: N - 1], lam, mu_e
+        )
+        times = np.arange(1, N) * dt
+        for s, shot in enumerate(self.shots):
+            if shot.fault is None or shot.source_params is None:
+                continue
+            g -= dt**2 * shot.fault.material_gradient_batch(
+                lam[:, :, s], shot.source_params, times
             )
-            for s, shot in enumerate(self.shots):
-                if shot.fault is None or shot.source_params is None:
-                    continue
-                Ls = L[:, :, s] if multi else L
-                g -= dt**2 * shot.fault.material_gradient_batch(
-                    Ls, shot.source_params, ks * dt
-                )
         return g
 
     def gradient(self, m: np.ndarray, state: ForwardState | None = None):
@@ -418,15 +394,10 @@ class ScalarWaveInverseProblem:
             state = self.forward(m)
         J, _, _ = self.objective(m, state)
         # adjoint forcing: F^T F r (= F F r for the symmetric smoother)
-        if self._single:
-            lam = self._adjoint_states(
-                state.mu_e, self._smooth(self._smooth(state.residual))
-            )
-        else:
-            lam = self._adjoint_states_multi(
-                state.mu_e,
-                [self._smooth(self._smooth(r)) for r in state.residuals],
-            )
+        lam = self._adjoint_states(
+            state.mu_e,
+            [self._smooth(self._smooth(r)) for r in state.residuals],
+        )
         g_e = self._material_accumulation(state.mu_e, state.u, lam)
         g = self.P.T @ g_e
         if self.reg is not None:
@@ -527,8 +498,12 @@ class ScalarWaveInverseProblem:
             up = states.state(k + 1)
             uk = states.state(k)
             um = states.state(k - 1)
-            g_e[:] += dt**2 * solver.K_material_gradient(uk, x)
-            g_e[:] += 0.5 * dt * solver.C_material_gradient(up - um, x, mu_e)
+            g_e[:] += dt**2 * solver.element_bilinear_sum(
+                solver.dK_dmu, uk[None], x[None]
+            )
+            g_e[:] += 0.5 * dt * solver.C_material_gradient(
+                up[None], um[None], x[None], mu_e
+            )
             if self.fault is not None and self.source_params is not None:
                 proj = self.fault.lam_projection(x)
                 g_e[:] -= dt**2 * self.fault.material_gradient_term(
@@ -561,70 +536,46 @@ class ScalarWaveInverseProblem:
         dt = self.dt
         N = self.nsteps
         C_delta = self.solver.damping_diag_perturbation(mu_e, dmu_e)
-        if self._single:
-            fault_f = (
-                self.fault.forcing_from_mu_perturbation(
-                    dmu_e, self.source_params, dt
-                )
-                if self.fault is not None
-                else None
+        batch = None if self._single else self.B
+        shape = u.shape[1:]
+        C_col = C_delta if batch is None else C_delta[:, None]
+        fault_fs = [
+            s.fault.forcing_from_mu_perturbation(dmu_e, s.source_params, dt)
+            if s.fault is not None
+            else None
+            for s in self.shots
+        ]
+        fblock = np.empty(shape)
+        kbuf = np.empty(shape)
+        cols = fblock.reshape(shape[0], -1).T  # one view per shot
+
+        def forcing(k):
+            # incremental forcing for every shot column at once; the
+            # stiffness term is one apply of K(dmu) to u^k's block
+            np.subtract(u[k + 1], u[k - 1], out=fblock)
+            np.multiply(fblock, (-0.5 * dt) * C_col, out=fblock)
+            self.solver.apply_dK(dmu_e, u[k], out=kbuf)
+            np.multiply(kbuf, dt**2, out=kbuf)
+            np.subtract(fblock, kbuf, out=fblock)
+            for col, ff in zip(cols, fault_fs):
+                if ff is not None:
+                    col += ff(k)
+            return fblock
+
+        with telemetry.span("inverse.gn_hessvec") as _s:
+            du = self.solver.march(
+                mu_e, forcing, N, dt, store=True, batch=batch
             )
-
-            def forcing(k):
-                f = -0.5 * dt * C_delta * (u[k + 1] - u[k - 1])
-                f -= dt**2 * self.solver.apply_K(dmu_e, u[k])
-                if fault_f is not None:
-                    f += fault_f(k)
-                return f
-
-            with telemetry.span("inverse.gn_hessvec") as _s:
-                du = self.solver.march(mu_e, forcing, N, dt, store=True)
-                _s.add("wave_solves", 1)
-            self.n_wave_solves += 1
-            lam_t = self._adjoint_states(
-                mu_e, self._smooth(self._smooth(du[:, self.receivers]))
-            )
-        else:
-            C_col = C_delta[:, None]
-            fault_fs = [
-                s.fault.forcing_from_mu_perturbation(
-                    dmu_e, s.source_params, dt
-                )
-                if s.fault is not None
-                else None
-                for s in self.shots
-            ]
-            fblock = np.empty((self.solver.nnode, self.B))
-
-            def forcing(k):
-                # incremental forcing for every shot column at once;
-                # the stiffness term is one level-3 apply on u^k's
-                # (nnode, B) block
-                np.subtract(u[k + 1], u[k - 1], out=fblock)
-                np.multiply(fblock, (-0.5 * dt) * C_col, out=fblock)
-                np.subtract(
-                    fblock,
-                    dt**2 * self.solver.apply_K(dmu_e, u[k]),
-                    out=fblock,
-                )
-                for s, ff in enumerate(fault_fs):
-                    if ff is not None:
-                        fblock[:, s] += ff(k)
-                return fblock
-
-            with telemetry.span("inverse.gn_hessvec") as _s:
-                du = self.solver.march(
-                    mu_e, forcing, N, dt, store=True, batch=self.B
-                )
-                _s.add("wave_solves", 1)
-            self.n_wave_solves += 1
-            lam_t = self._adjoint_states_multi(
-                mu_e,
-                [
-                    self._smooth(self._smooth(du[:, s.receivers, i]))
-                    for i, s in enumerate(self.shots)
-                ],
-            )
+            _s.add("wave_solves", 1)
+        self.n_wave_solves += 1
+        du = du.reshape(*du.shape[:2], -1)
+        lam_t = self._adjoint_states(
+            mu_e,
+            [
+                self._smooth(self._smooth(du[:, s.receivers, i]))
+                for i, s in enumerate(self.shots)
+            ],
+        )
         h_e = self._material_accumulation(mu_e, u, lam_t)
         Hv = self.P.T @ h_e
         if self.reg is not None:

@@ -13,9 +13,16 @@ mass, central differences — the same machinery as the 3D forward code.
 The class exposes the *operator pieces* the discrete adjoint needs:
 
 * ``apply_K(mu, u)``        — stiffness action for per-element ``mu``;
+* ``apply_dK(dmu, u)``      — the same action for a material perturbation
+  (the Gauss-Newton incremental forcing), on its own kernel so the
+  march's folded ``K(mu)`` is never evicted;
 * ``damping_diag(mu)``      — lumped absorbing damping (depends on mu);
-* ``K_material_gradient``   — per-element ``lam^T (dK/dmu_e) u``;
-* ``C_material_gradient``   — per-element ``lam^T (dC/dmu_e) w``;
+* ``element_bilinear_sum``  — per-element ``sum_{t,b} lam_e^T M u_e`` over
+  whole state histories, from ``3^d`` node-offset correlations (no
+  element gather): the stiffness term of the material gradient with
+  ``M = dK_dmu`` and the attenuation term with ``M = dC_dalpha``;
+* ``C_material_gradient``   — per-element ``sum_t lam^T (dC/dmu_e)
+  (u^{k+1} - u^{k-1})``, differenced on the boundary-face nodes only;
 * ``march``                 — the shared leapfrog driver used by the
   forward, adjoint, and incremental (Gauss-Newton) sweeps, which are
   all the same dissipative recurrence.
@@ -83,8 +90,23 @@ class RegularGridScalarWave:
         self.K_ref = scalar_stiffness_reference(self.d)
         self.conn = self._build_conn()
         self._conn_flat = self.conn.ravel()
-        # lumped mass: rho h^d / 2^d per corner
         nn = 1 << self.d
+        #: element stiffness per unit modulus, ``dK_e / dmu_e``
+        self.dK_dmu = self.h ** (self.d - 2) * self.K_ref
+        #: lumped element damping per unit attenuation, ``dC_e / dalpha_e``
+        self.dC_dalpha = (self.rho * self.h**self.d / nn) * np.eye(nn)
+        # corner k of every element sits at the same flat node offset
+        # _corner_shift[k] from corner 0, and _corner_block[k] slices
+        # the node grid down to the element grid of those corners
+        self._corner_shift = self.conn[0] - self.conn[0, 0]
+        self._corner_block = [
+            tuple(
+                slice((k >> a) & 1, ((k >> a) & 1) + self.shape[a])
+                for a in range(self.d)
+            )
+            for k in range(nn)
+        ]
+        # lumped mass: rho h^d / 2^d per corner
         self.m = np.bincount(
             self._conn_flat,
             weights=np.full(self.nelem * nn, self.rho * self.h**self.d / nn),
@@ -113,6 +135,10 @@ class RegularGridScalarWave:
         else:
             self._bnd_elems = np.zeros(0, dtype=np.int64)
             self._bnd_fnodes = np.zeros((0, nfc), dtype=np.int64)
+        # the absorbing-boundary gradient term reads face nodes only:
+        # the distinct ones, and each face slot's position among them
+        self._bnd_nodes, pos = np.unique(self._bnd_fnodes, return_inverse=True)
+        self._bnd_fpos = pos.reshape(self._bnd_fnodes.shape)
         self._bnd_node_plan = ScatterPlan(self._bnd_fnodes.ravel(), self.nnode)
         self._bnd_node_ones = np.ones(self._bnd_node_plan.nnz)
         self._bnd_elem_plan = ScatterPlan(self._bnd_elems, self.nelem)
@@ -135,6 +161,13 @@ class RegularGridScalarWave:
             self.conn, (self.K_ref,), self.nnode
         )
         self._coef = np.empty(self.nelem)
+        # material perturbations (the Gauss-Newton incremental forcing)
+        # fold into a kernel of their own: on the march's kernel every
+        # incremental step would refold K(dmu) and then K(mu) again
+        self._dK_kernel = get_backend().element_kernel(
+            self.conn, (self.K_ref,), self.nnode
+        )
+        self._dcoef = np.empty(self.nelem)
 
     # --------------------------------------------------------------- grid
 
@@ -196,9 +229,20 @@ class RegularGridScalarWave:
         flat memory, so ``u`` must be C-contiguous — asserted here
         instead of silently copied (the old ``np.ascontiguousarray``
         hid a full-state copy per call for strided inputs)."""
+        return self._apply(self._kernel, self._coef, mu, u, out)
+
+    def apply_dK(
+        self, dmu: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``K(dmu) u`` for a material perturbation ``dmu`` — bitwise
+        :meth:`apply_K` ``(dmu, u)``, but on a kernel of its own, so an
+        incremental march that forces with ``K(dmu) u^k`` while
+        stepping ``K(mu)`` folds each coefficient field once."""
+        return self._apply(self._dK_kernel, self._dcoef, dmu, u, out)
+
+    def _apply(self, kernel, coef, mu, u, out):
         np.multiply(
-            np.asarray(mu, dtype=float), self.h ** (self.d - 2),
-            out=self._coef,
+            np.asarray(mu, dtype=float), self.h ** (self.d - 2), out=coef
         )
         u = np.asarray(u, dtype=float)
         if not u.flags.c_contiguous:
@@ -209,9 +253,9 @@ class RegularGridScalarWave:
         if out is None:
             out = np.empty(u.shape)
         if u.ndim == 2:
-            self._kernel.matmat(u, out, coefs=(self._coef,))
+            kernel.matmat(u, out, coefs=(coef,))
         else:
-            self._kernel.matvec(u, out, coefs=(self._coef,))
+            kernel.matvec(u, out, coefs=(coef,))
         return out
 
     def K_diagonal(self, mu: np.ndarray) -> np.ndarray:
@@ -221,55 +265,80 @@ class RegularGridScalarWave:
         )
         return self._kernel.diagonal(np.empty(self.nnode), coefs=(self._coef,))
 
-    def K_material_gradient(
-        self, u: np.ndarray, lam: np.ndarray
+    def element_bilinear_sum(
+        self, M: np.ndarray, u: np.ndarray, lam: np.ndarray
     ) -> np.ndarray:
-        """Per-element ``lam^T (dK/dmu_e) u = h^{d-2} lam_e^T K_ref u_e``."""
-        U = u[self.conn]
-        L = lam[self.conn]
-        return self.h ** (self.d - 2) * np.einsum(
-            "ei,ij,ej->e", L, self.K_ref, U
-        )
+        """Per-element ``sum_{t,b} lam_e^T M u_e`` for a local
+        ``2^d x 2^d`` matrix ``M`` and state histories ``u``/``lam`` of
+        shape ``(nt, nnode)`` or shot batches ``(nt, nnode, B)`` (any
+        strides along time, e.g. a reversed adjoint history).
 
-    def K_material_gradient_batch(
-        self, u: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
-        """Time-batched :meth:`K_material_gradient`: ``u``/``lam`` have
-        shape ``(nt, nnode)`` — or ``(nt, nnode, B)`` for shot batches,
-        contracted over time *and* shots; returns the per-element sum."""
-        U = u[:, self.conn]
-        L = lam[:, self.conn]
-        if u.ndim == 3:
-            return self.h ** (self.d - 2) * np.einsum(
-                "teib,ij,tejb->e", L, self.K_ref, U
+        Corners ``i`` and ``j`` of every element sit at the fixed node
+        offset ``o = shift[j] - shift[i]`` (one of ``3^d``), so
+
+            ``g_e = sum_ij M_ij C_o(i,j)[conn[e, i]]``,
+            ``C_o[n] = sum_{t,b} lam[t, n, b] u[t, n + o, b]``.
+
+        Each needed ``C_o`` is one contraction of two flat slices of
+        the histories (a node shift by ``o`` is a flat shift by
+        ``o B``); ``C_o[conn[:, i]]`` is a strided block of the node
+        grid.  Cost: ``3^d nnode nt B`` multiply-adds, no element
+        gather and no history-sized temporary.  Slices wrap across the
+        grid edges, but a wrapped entry ``n`` is never read: the
+        blocks only read ``n = conn[e, i]``, whose partner
+        ``n + o = conn[e, j]`` is a real neighbour."""
+        nt, nnode = u.shape[:2]
+        B = u.shape[2] if u.ndim == 3 else 1
+        U = u.reshape(nt, nnode * B)
+        L = lam.reshape(nt, nnode * B)
+        terms: dict[int, list] = {}
+        for i, j in zip(*np.nonzero(M)):
+            o = int(self._corner_shift[j] - self._corner_shift[i])
+            terms.setdefault(o, []).append((i, float(M[i, j])))
+        g = np.zeros(self.shape)
+        C = np.empty(nnode)
+        Cgrid = C.reshape(self.node_shape)
+        for o, ij in terms.items():
+            lo, hi = max(0, -o), nnode - max(0, o)
+            c = np.einsum(
+                "tk,tk->k", L[:, lo * B : hi * B],
+                U[:, (lo + o) * B : (hi + o) * B],
             )
-        return self.h ** (self.d - 2) * np.einsum(
-            "tei,ij,tej->e", L, self.K_ref, U
-        )
+            C[lo:hi] = c if B == 1 else c.reshape(-1, B).sum(axis=1)
+            for i, m in ij:
+                g += m * Cgrid[self._corner_block[i]]
+        return g.ravel()
 
-    def C_material_gradient_batch(
-        self, w: np.ndarray, lam: np.ndarray, mu: np.ndarray
+    def C_material_gradient(
+        self,
+        u_next: np.ndarray,
+        u_prev: np.ndarray,
+        lam: np.ndarray,
+        mu: np.ndarray,
     ) -> np.ndarray:
-        """Time-batched :meth:`C_material_gradient` (summed over time).
-
-        ``w``/``lam`` may be ``(nt, nnode)`` or shot-batched
-        ``(nt, nnode, B)`` (contracted over time, components *and*
-        shots — the multi-shot gradient accumulation)."""
+        """Per-element ``sum_t lam^T (dC/dmu_e) (u_next - u_prev)``,
+        nonzero only on absorbing boundary elements (``dC/dmu_e = 0.5
+        sqrt(rho/mu_e) * lumping``), for histories ``(nt, nnode)`` or
+        shot batches ``(nt, nnode, B)`` (contracted over time *and*
+        shots).  Only the absorbing-face nodes are read and
+        differenced."""
         mu = np.asarray(mu, dtype=float)
         g = np.zeros(self.nelem)
         if not len(self._bnd_elems):
             return g
-        ww = self.h ** (self.d - 1) / (1 << (self.d - 1))
-        fnodes = self._bnd_fnodes
-        dcdmu = 0.5 * np.sqrt(self.rho / mu[self._bnd_elems]) * ww
-        if w.ndim == 3:
-            contrib = np.einsum(
-                "tsfb,tsfb->s", lam[:, fnodes], w[:, fnodes]
-            )
-        else:
-            contrib = np.einsum("tsf,tsf->s", lam[:, fnodes], w[:, fnodes])
+        bn = self._bnd_nodes
+        shp = (len(lam), len(bn), -1)
+        corr = np.einsum(
+            "tnb,tnb->n",
+            lam[:, bn].reshape(shp),
+            (u_next[:, bn] - u_prev[:, bn]).reshape(shp),
+        )
+        w = self.h ** (self.d - 1) / (1 << (self.d - 1))
+        dcdmu = 0.5 * np.sqrt(self.rho / mu[self._bnd_elems]) * w
         self._bnd_elem_plan.scatter_acc(
-            self._bnd_elem_ones, dcdmu * contrib, g
+            self._bnd_elem_ones,
+            dcdmu * corr[self._bnd_fpos].sum(axis=1),
+            g,
         )
         return g
 
@@ -303,19 +372,6 @@ class RegularGridScalarWave:
         )
         return out
 
-    def alpha_material_gradient_batch(
-        self, w_field: np.ndarray, adj: np.ndarray
-    ) -> np.ndarray:
-        """Per-element ``sum_t adj^T (dC/dalpha_e) w`` for time-batched
-        nodal fields ``(nt, nnode)`` or shot batches ``(nt, nnode, B)``."""
-        nn = 1 << self.d
-        lump = self.rho * self.h**self.d / nn
-        spec = "tefb,tefb->e" if adj.ndim == 3 else "tef,tef->e"
-        contrib = np.einsum(
-            spec, adj[:, self.conn], w_field[:, self.conn]
-        )
-        return lump * contrib
-
     def damping_diag_perturbation(
         self, mu: np.ndarray, dmu: np.ndarray
     ) -> np.ndarray:
@@ -335,24 +391,6 @@ class RegularGridScalarWave:
             out,
         )
         return out
-
-    def C_material_gradient(
-        self, w_field: np.ndarray, lam: np.ndarray, mu: np.ndarray
-    ) -> np.ndarray:
-        """Per-element ``lam^T (dC/dmu_e) w`` (nonzero only on absorbing
-        boundary elements): ``dC/dmu_e = 0.5 sqrt(rho/mu_e) * lumping``."""
-        mu = np.asarray(mu, dtype=float)
-        g = np.zeros(self.nelem)
-        if not len(self._bnd_elems):
-            return g
-        w = self.h ** (self.d - 1) / (1 << (self.d - 1))
-        fnodes = self._bnd_fnodes
-        dcdmu = 0.5 * np.sqrt(self.rho / mu[self._bnd_elems]) * w
-        contrib = np.sum(lam[fnodes] * w_field[fnodes], axis=1)
-        self._bnd_elem_plan.scatter_acc(
-            self._bnd_elem_ones, dcdmu * contrib, g
-        )
-        return g
 
     def plane_wave_injection(
         self,

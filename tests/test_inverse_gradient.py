@@ -117,6 +117,48 @@ class TestMaterialGradient:
             prob.forward(np.full(grid.n, -1.0))
 
 
+class TestMaterialGradient3D:
+    def test_gradient_matches_fd_3d_point_source(self):
+        """3D scalar problem (all 27 node offsets of the accumulation
+        kernel, absorbing faces on five sides) with a fixed point
+        source through ``extra_forcing``."""
+        shape, h = (5, 4, 4), 100.0
+        solver = RegularGridScalarWave(shape, h, rho=1000.0)
+        grid = MaterialGrid((2, 2, 2), tuple(n * h for n in shape))
+
+        def mu_true_fn(pts):
+            return 2.0e9 + 1.0e9 * (pts[:, 2] > 200.0)
+
+        m_true = grid.sample(mu_true_fn)
+        mu_e = grid.to_elements(solver) @ m_true
+        dt = solver.stable_dt(np.full(solver.nelem, m_true.max()))
+        nsteps = 60
+        src = solver.node_index((2, 2, 2))
+
+        def extra(k):
+            f = np.zeros(solver.nnode)
+            t = k * dt - 0.1
+            f[src] = dt**2 * 1e6 * np.exp(-((t / 0.03) ** 2))
+            return f
+
+        rec = solver.surface_nodes()[::2]
+        data = solver.march(mu_e, extra, nsteps, dt, store=True)[:, rec]
+        prob = ScalarWaveInverseProblem(
+            solver, grid, rec, data, dt, nsteps, extra_forcing=extra
+        )
+        m0 = np.full(grid.n, 2.4e9)
+        g, J, _ = prob.gradient(m0)
+        assert J > 0
+        fd_check(
+            lambda m: prob.objective(m)[0],
+            m0,
+            g,
+            range(grid.n),
+            eps=2.5e5,
+            rtol=1e-5,
+        )
+
+
 class TestGaussNewtonHessian:
     def test_symmetric_and_psd(self, setup2d):
         solver, grid, fault, params, rec, data, dt, nsteps, _ = setup2d

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.inverse import MaterialGrid, ScalarWaveInverseProblem
+from repro.inverse.fault_source import FaultLineSource2D, SourceParams
 from repro.solver import RegularGridScalarWave
 from repro.solver.checkpoint import CheckpointedStates, checkpoint_schedule
+from repro.sources.slip import dslip_dT, dslip_dt0, slip_function
 
 
 def standing_mode_error(n, steps_per_period=None):
@@ -78,7 +81,7 @@ class TestScalarWaveCore:
         rng = np.random.default_rng(2)
         mu = rng.random(s.nelem) + 1.0
         u, lam = rng.standard_normal((2, s.nnode))
-        g = s.K_material_gradient(u, lam)
+        g = s.element_bilinear_sum(s.dK_dmu, u[None], lam[None])
         eps = 1e-7
         for e in [0, 5, s.nelem - 1]:
             mp, mm = mu.copy(), mu.copy()
@@ -92,7 +95,7 @@ class TestScalarWaveCore:
         rng = np.random.default_rng(3)
         mu = rng.random(s.nelem) + 1.0
         w, lam = rng.standard_normal((2, s.nnode))
-        g = s.C_material_gradient(w, lam, mu)
+        g = s.C_material_gradient(w[None], 0 * w[None], lam[None], mu)
         eps = 1e-7
         for e in range(s.nelem):
             mp, mm = mu.copy(), mu.copy()
@@ -109,6 +112,128 @@ class TestScalarWaveCore:
         surf = s.surface_nodes()
         interior_surf = surf[1:-1]  # corners touch absorbing sides
         np.testing.assert_allclose(C[interior_surf], 0.0)
+
+
+class TestElementBilinearSum:
+    """The offset-correlation kernel against the element-gather
+    formula it replaces: ``sum_t,b lam[t, conn]^T M u[t, conn]``."""
+
+    @staticmethod
+    def _gather_reference(s, M, u, lam):
+        u3 = u.reshape(*u.shape[:2], -1)
+        lam3 = lam.reshape(*lam.shape[:2], -1)
+        return np.einsum(
+            "teib,ij,tejb->e", lam3[:, s.conn], M, u3[:, s.conn]
+        )
+
+    @pytest.mark.parametrize("shape", [(16, 8), (4, 3, 5)])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("which", ["K_ref", "identity"])
+    def test_matches_gather_formula(self, shape, B, which):
+        s = RegularGridScalarWave(shape, 10.0, 1000.0)
+        nn = 1 << s.d
+        M = s.K_ref if which == "K_ref" else np.eye(nn)
+        rng = np.random.default_rng(7)
+        nt = 6
+        tail = () if B == 1 else (B,)
+        u = rng.standard_normal((nt, s.nnode, *tail))
+        # the adjoint hands over a time-reversed view of its history
+        lam = rng.standard_normal((nt, s.nnode, *tail))[::-1]
+        ref = self._gather_reference(s, M, u, lam)
+        np.testing.assert_allclose(
+            s.element_bilinear_sum(M, u, lam), ref, rtol=1e-12,
+            atol=1e-12 * np.abs(ref).max(),
+        )
+
+    def test_material_derivatives(self):
+        s = RegularGridScalarWave((5, 4), 10.0, 1000.0)
+        np.testing.assert_allclose(s.dK_dmu, s.K_ref * s.h ** (s.d - 2))
+        # dC/dalpha_e lumps like the volume damping diagonal
+        alpha = np.zeros(s.nelem)
+        alpha[7] = 1.0
+        C = s.volume_damping_diag(alpha)
+        np.testing.assert_allclose(C[s.conn[7]], np.diag(s.dC_dalpha))
+
+
+class TestGaussNewtonFolds:
+    def test_hessvec_keeps_the_march_fold(self):
+        """The incremental forcing applies K(dmu) on its own kernel, so
+        a Gauss-Newton product after a gradient at the same model
+        neither refolds nor restores the march's K(mu)."""
+        s = RegularGridScalarWave((12, 6), 100.0, 1000.0)
+        grid = MaterialGrid((3, 2), (1200.0, 600.0))
+        mu_e = np.full(s.nelem, 2.5e9)
+        dt = s.stable_dt(mu_e)
+        nsteps = 40
+        src = s.node_index((6, 3))
+
+        def extra(k):
+            f = np.zeros(s.nnode)
+            f[src] = dt**2 * np.sin(0.3 * k)
+            return f
+
+        rec = s.surface_nodes()[::3]
+        data = s.march(mu_e, extra, nsteps, dt, store=True)[:, rec]
+        prob = ScalarWaveInverseProblem(
+            s, grid, rec, data, dt, nsteps, extra_forcing=extra
+        )
+        m0 = np.full(grid.n, 2.2e9)
+        _, _, state = prob.gradient(m0)
+        before = s._kernel.fold_cache_info()
+        prob.gn_hessvec(np.ones(grid.n), state)
+        after = s._kernel.fold_cache_info()
+        assert (after["hits"], after["misses"]) == (
+            before["hits"], before["misses"]
+        )
+
+
+class TestFaultForcing:
+    def test_forcings_match_add_at(self):
+        s = RegularGridScalarWave((10, 8), 100.0, 1000.0)
+        fault = FaultLineSource2D(s, ix=5, jz=range(2, 7))
+        p = fault.hypocentral_params(
+            hypo_j=4, rupture_velocity=2000.0, u0=1.0, t0=0.3
+        )
+        rng = np.random.default_rng(4)
+        dp = SourceParams(*rng.standard_normal((3, fault.ns)))
+        mu_e = 2e9 + 1e8 * rng.standard_normal(s.nelem)
+        dmu_e = 1e8 * rng.standard_normal(s.nelem)
+        dt = 0.01
+
+        def amp_forcing(k):
+            g = slip_function(k * dt, p.T, p.t0)
+            return mu_e[fault.elems] * p.u0 * g
+
+        def amp_dmu(k):
+            g = slip_function(k * dt, p.T, p.t0)
+            return dmu_e[fault.elems] * p.u0 * g
+
+        def amp_dp(k):
+            t = k * dt
+            mu_s = mu_e[fault.elems]
+            return (
+                mu_s * dp.u0 * slip_function(t, p.T, p.t0)
+                + mu_s * p.u0 * dslip_dt0(t, p.T, p.t0) * dp.t0
+                + mu_s * p.u0 * dslip_dT(t, p.T, p.t0) * dp.T
+            )
+
+        cases = [
+            (fault.forcing(mu_e, p, dt), amp_forcing),
+            (fault.forcing_from_mu_perturbation(dmu_e, p, dt), amp_dmu),
+            (
+                fault.forcing_from_param_perturbation(mu_e, p, dp, dt),
+                amp_dp,
+            ),
+        ]
+        for f, amp in cases:
+            for k in (0, 5, 17, 30, 60):
+                ref = np.zeros(s.nnode)
+                np.add.at(
+                    ref,
+                    fault.nodes.ravel(),
+                    (amp(k)[:, None] * fault.w[None, :]).ravel() * dt**2,
+                )
+                assert np.array_equal(f(k), ref)
 
 
 class TestScalarWavePropagation:
