@@ -214,13 +214,16 @@ class Engine:
     ) -> list:
         """March ``B = len(scenarios)`` rupture scenarios of one basin
         in a single fused :meth:`~repro.solver.wave_solver
-        .ElasticWaveSolver.run_batch` loop; returns one
+        .ElasticWaveSolver.run_batch` loop (global or clustered LTS,
+        per ``spec``); returns one
         :class:`~repro.io.seismogram.Seismograms` per scenario (None
         without receivers).  ``receivers`` is one shared ``(n, 3)``
         position array or a sequence with one entry per scenario.
         Column ``b`` is bit-identical to ``submit(spec,
         scenarios[b], t_end)`` — the coalescing contract the scheduler
-        builds on."""
+        builds on; a width-1 batch runs the solo march itself.  On
+        both schedules a non-finite state raises
+        :class:`~repro.resilience.health.NumericalHealthError`."""
         from repro.io.seismogram import ReceiverArray
         from repro.sources.fault import SourceCollection
 

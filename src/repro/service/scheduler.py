@@ -19,13 +19,15 @@ The batching window is a small state machine per group:
   flushed/closed, the group leaves the queue and runs as one batch.
 
 Coalescing is free of numerical consequence: ``run_batch`` column
-``b`` is bit-identical to a solo ``run`` of scenario ``b`` (the
+``b`` is bit-identical to a solo ``run`` of scenario ``b`` (``run``
+and ``run_batch`` share one B-generic loop per schedule, and the
 row-stacked GEMM and block-diagonal scatter keep the serial summation
-orders — see ``tests/test_batch.py``), so a request cannot observe
-whether it shared its time loop.
+orders — see ``tests/test_batch.py``); a width-1 batch *is* the solo
+march.  So a request cannot observe whether it shared its time loop.
 
 Failure is where coalescing could *amplify*: one NaN-poisoned request
-would fail every batchmate's future.  With a
+would fail every batchmate's future (the health sentinel runs in the
+global and the LTS loop alike).  With a
 :class:`~repro.service.policy.ServicePolicy` armed, the scheduler
 instead bisects a failing batch (log₂ re-runs against the warm
 engine), fails only the culprit(s) with

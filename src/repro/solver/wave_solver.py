@@ -19,7 +19,6 @@ work linear in the number of grid points, as the paper requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -344,416 +343,436 @@ class ElasticWaveSolver:
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
 
-    def _run_lts(
-        self,
-        forces,
-        nsteps: int,
-        plan: LTSPlan,
-        *,
-        receivers=None,
-        record="velocity",
-        checkpoint=None,
-        resume=False,
-        faults=None,
-        health_interval=DEFAULT_HEALTH_INTERVAL,
-    ) -> Seismograms | None:
-        """Clustered-leapfrog march (schedule contract in
-        :mod:`repro.solver.lts`): one loop over fine indices, each
-        cluster fires when its rate divides the index, coarsest first,
-        reading time-interpolated values at its one-coarser halo.
-        Checkpoints (and fault/health probes) happen only at sync
-        boundaries — multiples of the coarsest rate, where every node
-        holds the state at the same time."""
-        dt = self.dt
-        nnode = self.nnode
-        levels = self._lts_exec(plan)
-        r_min, r_max = plan.min_rate, plan.max_rate
-        u_prev = np.zeros((nnode, 3))
-        u = np.zeros((nnode, 3))
-        Ku = np.empty((nnode, 3))
-        Kbu = np.empty((nnode, 3)) if self.Kb is not None else None
-        fbuf = np.zeros((nnode, 3))
-        if hasattr(forces, "forces_at"):
-            force_fn = lambda t, out: forces.forces_at(t, out)
-        else:
-            force_fn = forces
-        # per-level runtime buffers (own-node sized; the loop below is
-        # allocation-free) and firing counters
-        rt = []
-        for lev in levels:
-            n_own = len(lev["own"])
-            ncols = lev["B"].shape[1]
-            ni = len(lev["interp"])
-            rt.append(
-                {
-                    "r": np.empty((n_own, 3)),
-                    "tmp": np.empty((n_own, 3)),
-                    "u_own": np.empty((n_own, 3)),
-                    "up_own": np.empty((n_own, 3)),
-                    "unew": np.empty((n_own, 3)),
-                    "rbar": np.empty((ncols, 3)),
-                    "kb_prev": (
-                        np.zeros((n_own, 3)) if self.Kb is not None else None
-                    ),
-                    "kb_new": (
-                        np.empty((n_own, 3)) if self.Kb is not None else None
-                    ),
-                    "sv": np.empty((ni, 3)),
-                    "iv": np.empty((ni, 3)),
-                    "fired": 0,
-                }
+    # -------------------------------------------------------- time loops
+    #
+    # One global and one clustered-LTS march, both B-generic like
+    # RegularGridScalarWave.march: ``batch=None`` advances ``(nnode, 3)``
+    # state, ``batch=B`` advances ``(nnode, 3, B)`` blocks.  Only the
+    # kernel call (matvec vs matmat), the forcing fill and the
+    # per-scenario receiver rows depend on ``batch``; the diagonal
+    # updates broadcast, the CSR products run over all ``3 B`` columns,
+    # and every mechanism (resume, checkpoint, faults, health, CFL,
+    # spans) is written once.
+
+    @staticmethod
+    def _forcing(forces, nnode: int, batch: int | None):
+        """``force(t) -> (nnode, 3[, B]) block or None``.  Batched, each
+        scenario fills its own column; a column that goes quiet is
+        zeroed once and then skipped until its source speaks again (the
+        content is zero either way, so per-column bit-identity holds)."""
+        if batch is None:
+            fn = getattr(forces, "forces_at", forces)
+            fbuf = np.zeros((nnode, 3))
+            return lambda t: fn(t, fbuf)
+        fns = [getattr(fc, "forces_at", fc) for fc in forces]
+        fbuf = np.zeros((nnode, 3, batch))
+        fcol = np.zeros((nnode, 3))  # contiguous per-scenario scratch
+        col_live = np.zeros(batch, dtype=bool)  # column nonzero in fbuf
+
+        def fill(t):
+            live = False
+            for b, fn in enumerate(fns):
+                fb = fn(t, fcol)
+                if fb is None:
+                    if col_live[b]:
+                        fbuf[:, :, b] = 0.0
+                        col_live[b] = False
+                else:
+                    fbuf[:, :, b] = fb
+                    col_live[b] = True
+                    live = True
+            return fbuf if live else None
+
+        return fill
+
+    @staticmethod
+    def _resume(checkpoint, state: dict, data) -> int:
+        """Load the latest valid snapshot into ``state``'s arrays and the
+        recorded seismogram prefix (in place); returns the step to
+        continue from (0 without a snapshot)."""
+        ck = checkpoint.latest()
+        if ck is None:
+            return 0
+        for key, arr in state.items():
+            if key in ck.arrays:
+                arr[:] = ck.arrays[key]
+        if data is not None and "rec_data" in ck.arrays:
+            (rec,) = data
+            prefix = ck.arrays["rec_data"]
+            rec[:, :, : prefix.shape[2]] = prefix
+        return int(ck.meta["next_k"])
+
+    @staticmethod
+    def _save(checkpoint, step: int, state: dict, data, meta: dict) -> None:
+        """Snapshot ``state`` and the seismogram prefix.  Checkpointed
+        marches come from :meth:`run`: ``data`` holds one scenario."""
+        arrays = dict(state)
+        if data is not None:
+            (rec,) = data
+            arrays["rec_data"] = rec[:, :, : meta["next_k"]]
+        checkpoint.save(step, arrays, meta)
+
+    @staticmethod
+    def _rayleigh(r, tmp, kb_u, kb_diag, u, kb_u_prev, hd) -> None:
+        """``r -= hd (Kb u - diag(Kb) u) + hd Kb u^{k-1}``, in place."""
+        np.multiply(kb_u, hd, out=tmp)
+        np.subtract(r, tmp, out=r)
+        np.multiply(kb_diag, u, out=tmp)
+        np.multiply(tmp, hd, out=tmp)
+        np.add(r, tmp, out=r)
+        np.multiply(kb_u_prev, hd, out=tmp)
+        np.add(r, tmp, out=r)
+
+    def _march(
+        self, forces, t_end, batch, recs, span, *, width=None,
+        record="velocity", callback=None, snapshots=None, checkpoint=None,
+        resume=False, faults=None, health_interval=DEFAULT_HEALTH_INTERVAL,
+        lts=None,
+    ) -> list[Seismograms] | None:
+        """Shared prologue of :meth:`run` and :meth:`run_batch`: resolve
+        the schedule, then run the global or the clustered loop.
+        ``recs`` is one :class:`ReceiverArray` per scenario (or None);
+        ``width`` labels the span with the batch width."""
+        plan, nsteps = self._lts_dispatch(lts, t_end)
+        full_state = snapshots is not None or callback is not None
+        if plan is not None and full_state:
+            raise ValueError(
+                "snapshots/callback need the full state every step; "
+                "run with lts=0 (they are unsupported under LTS)"
             )
-        data = receivers.allocate(3, nsteps) if receivers is not None else None
-        slots = (
-            self._lts_receiver_slots(levels, receivers)
-            if receivers is not None
-            else [(np.zeros(0, dtype=np.int64),) * 2] * len(levels)
-        )
+        dt = self.dt
         if health_interval:
             validate_cfl(dt, self.mesh.elem_h, self.vp)
-        k0 = 0
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                u_prev[:] = ck.arrays["u_prev"]
-                u[:] = ck.arrays["u"]
-                for i, st in enumerate(rt):
-                    key = f"kb_prev_{i}"
-                    if st["kb_prev"] is not None and key in ck.arrays:
-                        st["kb_prev"][:] = ck.arrays[key]
-                if data is not None and "rec_data" in ck.arrays:
-                    prefix = ck.arrays["rec_data"]
-                    data[:, :, : prefix.shape[2]] = prefix
-                k0 = int(ck.meta["next_k"])
-                if k0 % r_max:
-                    raise ValueError(
-                        f"LTS resume index {k0} is not a sync boundary "
-                        f"(coarsest rate {r_max})"
-                    )
-        last_sync_saved = k0
         if telemetry.enabled():
             telemetry.gauge(
                 "elastic.cfl_margin",
                 stable_timestep(self.mesh.elem_h, self.vp, safety=1.0) / dt,
             )
-            telemetry.gauge(
-                "elastic.lts_theoretical_speedup", plan.theoretical_speedup()
-            )
-        with telemetry.span("elastic.run_lts") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            _run.add("levels", len(levels))
-            _run.add("max_rate", r_max)
-            for j in range(k0, nsteps, r_min):
-                t = j * dt
-                b = force_fn(t, fbuf)
-                for lev, st, (ridx, rpos) in zip(levels, rt, slots):
-                    rate = lev["rate"]
-                    if j % rate:
-                        continue
-                    st["fired"] += 1
-                    interp = lev["interp"]
-                    ni = len(interp)
-                    if ni:
-                        # overwrite the one-coarser halo with its time-
-                        # interpolated value for the matvecs, restore
-                        # right after (the coarse pair brackets j*dt;
-                        # theta is 0 or 1/2 — see lts.interp_theta)
-                        sv, iv = st["sv"], st["iv"]
-                        np.take(u, interp, axis=0, out=sv)
-                        np.take(u_prev, interp, axis=0, out=iv)
-                        if j % (2 * rate):  # theta = 1/2
-                            np.add(iv, sv, out=iv)
-                            np.multiply(iv, 0.5, out=iv)
-                        u[interp] = iv
-                    lev["K"].matvec(u, out=Ku)
-                    if lev["Kb"] is not None:
-                        lev["Kb"].matvec(u, out=Kbu)
-                    own = lev["own"]
-                    r, tmp = st["r"], st["tmp"]
-                    # r = 2M u - dt_c^2 (K + K_AB) u~  (own rows)
-                    np.take(Ku, own, axis=0, out=r)
-                    np.multiply(r, -lev["dtc2"], out=r)
-                    np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(lev["m2"][:, None], st["u_own"], out=tmp)
-                    np.add(r, tmp, out=r)
-                    if lev["kab"] is not None:
-                        spmv_acc(lev["kab"], u.reshape(-1), r.reshape(-1))
-                    if ni:
-                        u[interp] = sv
-                    if lev["Kb"] is not None:
-                        hdc = lev["hdc"]
-                        np.take(Kbu, own, axis=0, out=st["kb_new"])
-                        np.multiply(st["kb_new"], hdc, out=tmp)
-                        np.subtract(r, tmp, out=r)
-                        np.multiply(lev["kb_diag"], st["u_own"], out=tmp)
-                        np.multiply(tmp, hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        np.multiply(st["kb_prev"], hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        st["kb_prev"], st["kb_new"] = (
-                            st["kb_new"], st["kb_prev"],
-                        )
-                    np.take(u_prev, own, axis=0, out=st["up_own"])
-                    np.multiply(lev["prev_coef"], st["up_own"], out=tmp)
-                    np.add(r, tmp, out=r)
-                    if b is not None:
-                        np.take(b, own, axis=0, out=tmp)
-                        np.multiply(tmp, lev["dtc2"], out=tmp)
-                        np.add(r, tmp, out=r)
-                    # per-level hanging-node projection (block of 2.5)
-                    spmv_into(lev["BT"], r, st["rbar"])
-                    np.multiply(st["rbar"], lev["inv_A_bar"], out=st["rbar"])
-                    spmv_into(lev["B"], st["rbar"], st["unew"])
-                    if data is not None and len(ridx):
-                        # sampled at the cluster's own cadence (column
-                        # j); gaps are interpolated after the loop
-                        if record == "velocity":
-                            data[ridx, :, j] = (
-                                st["unew"][rpos] - st["up_own"][rpos]
-                            ) / (2.0 * lev["dtc"])
-                        else:
-                            data[ridx, :, j] = st["u_own"][rpos]
-                    u_prev[own] = st["u_own"]
-                    u[own] = st["unew"]
-                s = j + r_min
-                if s % r_max == 0:  # sync: all nodes hold u(s * dt)
-                    if faults is not None:
-                        faults.poison_state(0, s - 1, u)
-                    if health_interval and should_check(
-                        s - 1, nsteps, health_interval
-                    ):
-                        check_finite(u, step=s - 1, field="u")
-                    if (
-                        checkpoint is not None
-                        and checkpoint.interval > 0
-                        and s // checkpoint.interval
-                        > last_sync_saved // checkpoint.interval
-                    ):
-                        arrays = {"u_prev": u_prev, "u": u}
-                        for i, st in enumerate(rt):
-                            if st["kb_prev"] is not None:
-                                arrays[f"kb_prev_{i}"] = st["kb_prev"]
-                        if data is not None:
-                            arrays["rec_data"] = data[:, :, :s]
-                        checkpoint.save(
-                            s - 1, arrays, {"next_k": s, "lts_rate": r_max}
-                        )
-                        last_sync_saved = s
-            flops = 0
-            for lev, st in zip(levels, rt):
-                per = lev["K"].flops_per_matvec
-                if lev["Kb"] is not None:
-                    per += lev["Kb"].flops_per_matvec
-                flops += st["fired"] * (per + 12 * len(lev["own"]))
-                _run.add(f"fired_r{lev['rate']}", st["fired"])
-            _run.add("flops", flops)
-            self.flops.add("stiffness", flops)
-        if receivers is None:
-            return None
-        self._lts_fill_receiver_gaps(data, levels, slots, nsteps)
-        return Seismograms(
-            data=data, dt=dt, kind=record, positions=receivers.positions
+        data = None if recs is None else [
+            ra.allocate(3, nsteps) for ra in recs
+        ]
+        # (batch shape, columns per dof, index broadcasting a diagonal
+        # over the batch axis, kernel); u[cols[b]] is scenario b's state
+        if batch is None:
+            layout, cols = ((), 1, (...,), "matvec"), [(...,)]
+        else:
+            layout = ((batch,), batch, (..., None), "matmat")
+            cols = [(..., b) for b in range(batch)]
+        common = dict(
+            layout=layout, force=self._forcing(forces, self.nnode, batch),
+            recs=recs, data=data, cols=cols, record=record,
+            checkpoint=checkpoint, resume=resume, faults=faults,
+            health_interval=health_interval,
         )
+        with telemetry.span(span if plan is None else span + "_lts") as _run:
+            _run.add("nsteps", nsteps)
+            _run.add("nnode", self.nnode)
+            if width is not None:
+                _run.add("batch", width)
+            if plan is None:
+                self._march_global(
+                    nsteps, callback=callback, snapshots=snapshots, **common
+                )
+            else:
+                self._march_lts(nsteps, plan, _run, **common)
+        if recs is None:
+            return None
+        return [
+            Seismograms(data=d, dt=dt, kind=record, positions=ra.positions)
+            for d, ra in zip(data, recs)
+        ]
 
-    def _run_batch_lts(
-        self,
-        forces: Sequence,
-        nsteps: int,
-        plan: LTSPlan,
-        *,
-        receivers=None,
-        record="velocity",
-    ) -> list[Seismograms] | None:
-        """Batched clustered-leapfrog march: same schedule as
-        :meth:`_run_lts` over ``(nnode, 3, B)`` state blocks — one
-        level-3 per-cluster ``matmat`` and multi-vector CSR products
-        per firing instead of ``B`` of each."""
-        Bn = len(forces)
+    def _march_global(
+        self, nsteps, *, layout, force, recs, data, cols, record, callback,
+        snapshots, checkpoint, resume, faults, health_interval,
+    ) -> None:
+        """Global-dt leapfrog (eq. 2.4) plus the hanging-node projection
+        (eq. 2.5), one step per iteration, in place throughout."""
+        dt = self.dt
+        dt2 = dt * dt
+        hd = 0.5 * dt
+        nnode = self.nnode
+        bshape, ncol, ex, kern = layout
+        w = 3 * ncol  # CSR columns per node row
+        dofs = (-1, *bshape)  # one CSR row per dof
+        m = self.m[:, None]
+        # hoisted loop invariants: 2M for the leading term and the full
+        # u^{k-1} coefficient (mass, Rayleigh alpha, boundary damping)
+        m2 = (2.0 * m)[ex]
+        prev_coef = ((hd * self.m_alpha[:, None] - m) + hd * self.C_diag)[ex]
+        inv_A_bar = self._inv_A_bar[ex]
+        kb_diag = None if self.Kb is None else self.Kb_diag[ex]
+        # preallocated state and scratch buffers; the loop below is
+        # in-place throughout — no per-step O(nnode) heap allocations
+        shape = (nnode, 3, *bshape)
+        u_prev, u, u_next, kb_u_prev = (np.zeros(shape) for _ in range(4))
+        r, Ku, tmp, kb_u = (np.empty(shape) for _ in range(4))
+        nbar = self.A_bar.shape[0]
+        r_bar = np.empty((nbar, 3, *bshape))
+        # (rows, 3B) views for the CSR products
+        r2, r_bar2 = r.reshape(nnode, w), r_bar.reshape(nbar, w)
+        K_apply = getattr(self.K, kern)
+        Kb_apply = None if self.Kb is None else getattr(self.Kb, kern)
+        k0 = 0
+        if resume and checkpoint is not None:
+            state = {"u_prev": u_prev, "u": u, "kb_u_prev": kb_u_prev}
+            k0 = self._resume(checkpoint, state, data)
+
+        # telemetry: one is-None gate per step region when disabled
+        # (literal span names, no kwargs — no hot-loop allocations)
+        tel_on = telemetry.enabled()
+        flops_K = self.K.flops_per_matmat(ncol)
+        flops_Kb = 0 if self.Kb is None else self.Kb.flops_per_matmat(ncol)
+        flops_up = 12 * nnode * ncol
+        for k in range(k0, nsteps):
+            t = k * dt
+            with telemetry.span("stiffness") as _s:
+                K_apply(u, out=Ku)
+                _s.add("flops", flops_K)
+                _s.add("elements", self.K.nelem)
+            self.flops.add("stiffness", flops_K)
+            np.multiply(m2, u, out=r)
+            np.multiply(Ku, dt2, out=Ku)
+            np.subtract(r, Ku, out=r)
+            if self._has_kab:
+                # r += (-dt^2 K_AB) u, prescaled at setup
+                spmv_acc(self._K_AB_mdt2, u.reshape(dofs), r.reshape(dofs))
+            if Kb_apply is not None:
+                with telemetry.span("damping") as _s:
+                    Kb_apply(u, out=kb_u)
+                    _s.add("flops", flops_Kb)
+                self.flops.add("stiffness", flops_Kb)
+                self._rayleigh(r, tmp, kb_u, kb_diag, u, kb_u_prev, hd)
+                kb_u_prev, kb_u = kb_u, kb_u_prev
+            np.multiply(prev_coef, u_prev, out=tmp)
+            np.add(r, tmp, out=r)
+            b = force(t)
+            if b is not None:
+                np.multiply(b, dt2, out=tmp)
+                np.add(r, tmp, out=r)
+            # hanging-node projection keeps the update explicit (2.5)
+            with telemetry.span("update") as _s:
+                spmv_into(self.BT, r2, r_bar2)
+                np.multiply(r_bar, inv_A_bar, out=r_bar)
+                spmv_into(self.B, r_bar2, u_next.reshape(nnode, w))
+                _s.add("flops", flops_up)
+            self.flops.add("update", flops_up)
+            if tel_on:
+                # displacement "energy" proxy — drift shows up as
+                # unbounded growth of this per-step series
+                telemetry.sample(
+                    "elastic.u2", float(np.vdot(u_next, u_next)), step=k
+                )
+                telemetry.sample_alloc(step=k)
+
+            if data is not None:
+                for ra, d, c in zip(recs, data, cols):
+                    if record == "velocity":
+                        d[:, :, k] = (
+                            u_next[c][ra.nodes] - u_prev[c][ra.nodes]
+                        ) / (2.0 * dt)
+                    else:
+                        d[:, :, k] = u[c][ra.nodes]
+            if snapshots is not None:
+                snapshots.maybe_record(k, t, u)
+            if callback is not None:
+                callback(k, t, u)
+            u_prev, u, u_next = u, u_next, u_prev
+            # u is now x^{k+1}, u_prev is x^k — the restart pair
+            if faults is not None:
+                faults.poison_state(0, k, u)
+            if health_interval and should_check(k, nsteps, health_interval):
+                check_finite(u, step=k, field="u")
+            if checkpoint is not None and checkpoint.due(k):
+                state = {"u_prev": u_prev, "u": u}
+                if self.Kb is not None:
+                    state["kb_u_prev"] = kb_u_prev
+                self._save(checkpoint, k, state, data, {"next_k": k + 1})
+
+    def _march_lts(
+        self, nsteps, plan: LTSPlan, _run, *, layout, force, recs, data,
+        cols, record, checkpoint, resume, faults, health_interval,
+    ) -> None:
+        """Clustered-leapfrog march (schedule contract in
+        :mod:`repro.solver.lts`): one loop over fine indices, each
+        cluster fires when its rate divides the index, coarsest first,
+        reading time-interpolated values at its one-coarser halo.
+        Checkpoints and fault/health probes happen only at sync
+        boundaries — multiples of the coarsest rate, where every node
+        holds the state at the same time.  Receivers owned by a coarse
+        cluster are sampled at its cadence and gap-filled afterwards."""
         dt = self.dt
         nnode = self.nnode
+        bshape, ncol, ex, kern = layout
+        w = 3 * ncol
+        dofs = (-1, *bshape)
         levels = self._lts_exec(plan)
         r_min, r_max = plan.min_rate, plan.max_rate
-        u_prev = np.zeros((nnode, 3, Bn))
-        u = np.zeros((nnode, 3, Bn))
-        Ku = np.empty((nnode, 3, Bn))
-        Kbu = np.empty((nnode, 3, Bn)) if self.Kb is not None else None
-        force_fns = [
-            (lambda t, out, fc=fc: fc.forces_at(t, out))
-            if hasattr(fc, "forces_at") else fc
-            for fc in forces
-        ]
-        fbuf = np.zeros((nnode, 3, Bn))
-        fcol = np.zeros((nnode, 3))
-        col_live = np.zeros(Bn, dtype=bool)
+        shape = (nnode, 3, *bshape)
+        u_prev, u, Ku, Kbu = (np.zeros(shape) for _ in range(4))
+        # per-level runtime state: bound kernels and flop counts,
+        # broadcast diagonals, own-node sized buffers with their (rows,
+        # 3B) CSR views (the loop below is allocation-free), firing count
         rt = []
         for lev in levels:
-            n_own = len(lev["own"])
-            ncols = lev["B"].shape[1]
-            ni = len(lev["interp"])
+            own_shape = (len(lev["own"]), 3, *bshape)
+            has_kb = lev["Kb"] is not None
             rt.append(
                 {
-                    "r": np.empty((n_own, 3, Bn)),
-                    "tmp": np.empty((n_own, 3, Bn)),
-                    "u_own": np.empty((n_own, 3, Bn)),
-                    "up_own": np.empty((n_own, 3, Bn)),
-                    "unew": np.empty((n_own, 3, Bn)),
-                    "rbar": np.empty((ncols, 3, Bn)),
-                    "kb_prev": (
-                        np.zeros((n_own, 3, Bn))
-                        if self.Kb is not None else None
+                    "K": getattr(lev["K"], kern),
+                    "Kb": getattr(lev["Kb"], kern) if has_kb else None,
+                    "flops_K": lev["K"].flops_per_matmat(ncol),
+                    "flops_Kb": (
+                        lev["Kb"].flops_per_matmat(ncol) if has_kb else 0
                     ),
-                    "kb_new": (
-                        np.empty((n_own, 3, Bn))
-                        if self.Kb is not None else None
-                    ),
-                    "sv": np.empty((ni, 3, Bn)),
-                    "iv": np.empty((ni, 3, Bn)),
+                    "flops_up": 12 * len(lev["own"]) * ncol,
+                    "m2": lev["m2"][:, None][ex],
+                    "prev_coef": lev["prev_coef"][ex],
+                    "kb_diag": lev["kb_diag"][ex] if has_kb else None,
+                    "inv_A_bar": lev["inv_A_bar"][ex],
+                    "rbar": np.empty((lev["B"].shape[1], 3, *bshape)),
+                    "kb_prev": np.zeros(own_shape) if has_kb else None,
+                    "kb_new": np.empty(own_shape) if has_kb else None,
+                    "sv": np.empty((len(lev["interp"]), 3, *bshape)),
+                    "iv": np.empty((len(lev["interp"]), 3, *bshape)),
                     "fired": 0,
                 }
             )
-        if receivers is None:
-            recs = None
-        elif isinstance(receivers, ReceiverArray):
-            recs = [receivers] * Bn
-        else:
-            recs = list(receivers)
-            if len(recs) != Bn:
-                raise ValueError("need one receiver array per scenario")
-        data = (
-            [ra.allocate(3, nsteps) for ra in recs]
-            if recs is not None else None
-        )
-        slots = (
-            [self._lts_receiver_slots(levels, ra) for ra in recs]
-            if recs is not None else None
-        )
-        with telemetry.span("elastic.run_batch_lts") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            _run.add("batch", Bn)
-            _run.add("levels", len(levels))
-            for j in range(0, nsteps, r_min):
-                t = j * dt
-                live = False
-                for b, fn in enumerate(force_fns):
-                    fb = fn(t, fcol)
-                    if fb is None:
-                        if col_live[b]:
-                            fbuf[:, :, b] = 0.0
-                            col_live[b] = False
-                    else:
-                        fbuf[:, :, b] = fb
-                        col_live[b] = True
-                        live = True
-                for li, (lev, st) in enumerate(zip(levels, rt)):
-                    rate = lev["rate"]
-                    if j % rate:
-                        continue
-                    st["fired"] += 1
-                    interp = lev["interp"]
-                    ni = len(interp)
-                    if ni:
-                        sv, iv = st["sv"], st["iv"]
-                        np.take(u, interp, axis=0, out=sv)
-                        np.take(u_prev, interp, axis=0, out=iv)
-                        if j % (2 * rate):  # theta = 1/2
-                            np.add(iv, sv, out=iv)
-                            np.multiply(iv, 0.5, out=iv)
-                        u[interp] = iv
-                    lev["K"].matmat(u, out=Ku)
-                    if lev["Kb"] is not None:
-                        lev["Kb"].matmat(u, out=Kbu)
-                    own = lev["own"]
-                    n_own = len(own)
-                    r, tmp = st["r"], st["tmp"]
-                    np.take(Ku, own, axis=0, out=r)
-                    np.multiply(r, -lev["dtc2"], out=r)
-                    np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(
-                        lev["m2"][:, None, None], st["u_own"], out=tmp
-                    )
-                    np.add(r, tmp, out=r)
-                    if lev["kab"] is not None:
-                        spmv_acc(
-                            lev["kab"],
-                            u.reshape(3 * nnode, Bn),
-                            r.reshape(3 * n_own, Bn),
-                        )
-                    if ni:
-                        u[interp] = sv
-                    if lev["Kb"] is not None:
-                        hdc = lev["hdc"]
-                        np.take(Kbu, own, axis=0, out=st["kb_new"])
-                        np.multiply(st["kb_new"], hdc, out=tmp)
-                        np.subtract(r, tmp, out=r)
-                        np.multiply(
-                            lev["kb_diag"][:, :, None], st["u_own"], out=tmp
-                        )
-                        np.multiply(tmp, hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        np.multiply(st["kb_prev"], hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        st["kb_prev"], st["kb_new"] = (
-                            st["kb_new"], st["kb_prev"],
-                        )
-                    np.take(u_prev, own, axis=0, out=st["up_own"])
-                    np.multiply(
-                        lev["prev_coef"][:, :, None], st["up_own"], out=tmp
-                    )
-                    np.add(r, tmp, out=r)
-                    if live:
-                        np.take(fbuf, own, axis=0, out=tmp)
-                        np.multiply(tmp, lev["dtc2"], out=tmp)
-                        np.add(r, tmp, out=r)
-                    ncols = lev["B"].shape[1]
-                    spmv_into(
-                        lev["BT"],
-                        r.reshape(n_own, 3 * Bn),
-                        st["rbar"].reshape(ncols, 3 * Bn),
-                    )
-                    np.multiply(
-                        st["rbar"], lev["inv_A_bar"][:, :, None],
-                        out=st["rbar"],
-                    )
-                    spmv_into(
-                        lev["B"],
-                        st["rbar"].reshape(ncols, 3 * Bn),
-                        st["unew"].reshape(n_own, 3 * Bn),
-                    )
-                    if data is not None:
-                        for b in range(Bn):
-                            ridx, rpos = slots[b][li]
-                            if not len(ridx):
-                                continue
-                            if record == "velocity":
-                                data[b][ridx, :, j] = (
-                                    st["unew"][rpos, :, b]
-                                    - st["up_own"][rpos, :, b]
-                                ) / (2.0 * lev["dtc"])
-                            else:
-                                data[b][ridx, :, j] = st["u_own"][rpos, :, b]
-                    u_prev[own] = st["u_own"]
-                    u[own] = st["unew"]
-            flops = 0
-            for lev, st in zip(levels, rt):
-                per = lev["K"].flops_per_matmat(Bn)
-                if lev["Kb"] is not None:
-                    per += lev["Kb"].flops_per_matmat(Bn)
-                flops += st["fired"] * (per + 12 * len(lev["own"]) * Bn)
-            _run.add("flops", flops)
-            self.flops.add("stiffness", flops)
-        if recs is None:
-            return None
-        for b in range(Bn):
-            self._lts_fill_receiver_gaps(data[b], levels, slots[b], nsteps)
-        return [
-            Seismograms(
-                data=data[b], dt=dt, kind=record,
-                positions=recs[b].positions,
+            st = rt[-1]
+            for name in ("r", "tmp", "u_own", "up_own", "unew"):
+                st[name] = np.empty(own_shape)
+            for name in ("r", "rbar", "unew"):
+                st[name + "2"] = st[name].reshape(len(st[name]), w)
+        slots = [self._lts_receiver_slots(levels, ra) for ra in recs or ()]
+
+        def restart_state():  # the kb_prev buffers swap every firing
+            state = {"u_prev": u_prev, "u": u}
+            for i, st in enumerate(rt):
+                if st["kb_prev"] is not None:
+                    state[f"kb_prev_{i}"] = st["kb_prev"]
+            return state
+
+        k0 = 0
+        if resume and checkpoint is not None:
+            k0 = self._resume(checkpoint, restart_state(), data)
+            if k0 % r_max:
+                raise ValueError(
+                    f"LTS resume index {k0} is not a sync boundary "
+                    f"(coarsest rate {r_max})"
+                )
+        last_sync_saved = k0
+        if telemetry.enabled():
+            telemetry.gauge(
+                "elastic.lts_theoretical_speedup", plan.theoretical_speedup()
             )
-            for b in range(Bn)
-        ]
+        _run.add("levels", len(levels))
+        _run.add("max_rate", r_max)
+        for j in range(k0, nsteps, r_min):
+            t = j * dt
+            b = force(t)
+            for li, (lev, st) in enumerate(zip(levels, rt)):
+                rate = lev["rate"]
+                if j % rate:
+                    continue
+                st["fired"] += 1
+                interp = lev["interp"]
+                ni = len(interp)
+                if ni:
+                    # overwrite the one-coarser halo with its time-
+                    # interpolated value for the matvecs, restore
+                    # right after (the coarse pair brackets j*dt;
+                    # theta is 0 or 1/2 — see lts.interp_theta)
+                    sv, iv = st["sv"], st["iv"]
+                    np.take(u, interp, axis=0, out=sv)
+                    np.take(u_prev, interp, axis=0, out=iv)
+                    if j % (2 * rate):  # theta = 1/2
+                        np.add(iv, sv, out=iv)
+                        np.multiply(iv, 0.5, out=iv)
+                    u[interp] = iv
+                with telemetry.span("stiffness") as _s:
+                    st["K"](u, out=Ku)
+                    _s.add("flops", st["flops_K"])
+                    _s.add("elements", lev["K"].nelem)
+                self.flops.add("stiffness", st["flops_K"])
+                if st["Kb"] is not None:
+                    with telemetry.span("damping") as _s:
+                        st["Kb"](u, out=Kbu)
+                        _s.add("flops", st["flops_Kb"])
+                    self.flops.add("stiffness", st["flops_Kb"])
+                own = lev["own"]
+                r, tmp = st["r"], st["tmp"]
+                # r = 2M u - dt_c^2 (K + K_AB) u~  (own rows)
+                np.take(Ku, own, axis=0, out=r)
+                np.multiply(r, -lev["dtc2"], out=r)
+                np.take(u, own, axis=0, out=st["u_own"])
+                np.multiply(st["m2"], st["u_own"], out=tmp)
+                np.add(r, tmp, out=r)
+                if lev["kab"] is not None:
+                    spmv_acc(lev["kab"], u.reshape(dofs), r.reshape(dofs))
+                if ni:
+                    u[interp] = sv
+                if st["Kb"] is not None:
+                    np.take(Kbu, own, axis=0, out=st["kb_new"])
+                    self._rayleigh(
+                        r, tmp, st["kb_new"], st["kb_diag"], st["u_own"],
+                        st["kb_prev"], lev["hdc"],
+                    )
+                    st["kb_prev"], st["kb_new"] = st["kb_new"], st["kb_prev"]
+                np.take(u_prev, own, axis=0, out=st["up_own"])
+                np.multiply(st["prev_coef"], st["up_own"], out=tmp)
+                np.add(r, tmp, out=r)
+                if b is not None:
+                    np.take(b, own, axis=0, out=tmp)
+                    np.multiply(tmp, lev["dtc2"], out=tmp)
+                    np.add(r, tmp, out=r)
+                # per-level hanging-node projection (block of 2.5)
+                with telemetry.span("update") as _s:
+                    spmv_into(lev["BT"], st["r2"], st["rbar2"])
+                    np.multiply(st["rbar"], st["inv_A_bar"], out=st["rbar"])
+                    spmv_into(lev["B"], st["rbar2"], st["unew2"])
+                    _s.add("flops", st["flops_up"])
+                self.flops.add("update", st["flops_up"])
+                # receivers: sampled at the cluster's own cadence
+                # (column j); gaps are interpolated after the loop
+                for d, sl, c in zip(data or (), slots, cols):
+                    ridx, rpos = sl[li]
+                    if not len(ridx):
+                        continue
+                    if record == "velocity":
+                        d[ridx, :, j] = (
+                            st["unew"][c][rpos] - st["up_own"][c][rpos]
+                        ) / (2.0 * lev["dtc"])
+                    else:
+                        d[ridx, :, j] = st["u_own"][c][rpos]
+                u_prev[own] = st["u_own"]
+                u[own] = st["unew"]
+            s = j + r_min
+            if s % r_max == 0:  # sync: all nodes hold u(s * dt)
+                if faults is not None:
+                    faults.poison_state(0, s - 1, u)
+                if health_interval and should_check(
+                    s - 1, nsteps, health_interval
+                ):
+                    check_finite(u, step=s - 1, field="u")
+                if (
+                    checkpoint is not None
+                    and checkpoint.interval > 0
+                    and s // checkpoint.interval
+                    > last_sync_saved // checkpoint.interval
+                ):
+                    self._save(
+                        checkpoint, s - 1, restart_state(), data,
+                        {"next_k": s, "lts_rate": r_max},
+                    )
+                    last_sync_saved = s
+        flops = 0
+        for lev, st in zip(levels, rt):
+            per = st["flops_K"] + st["flops_Kb"] + st["flops_up"]
+            flops += st["fired"] * per
+            _run.add(f"fired_r{lev['rate']}", st["fired"])
+        _run.add("flops", flops)
+        for d, sl in zip(data or (), slots):
+            self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
 
     def run(
         self,
@@ -773,7 +792,8 @@ class ElasticWaveSolver:
         """March the wave equation from rest to ``t_end``.
 
         ``forces`` is either a callable ``forces(t, out) -> (nnode, 3)``
-        or a :class:`repro.sources.fault.SourceCollection`.
+        or a :class:`repro.sources.fault.SourceCollection`; snapshot
+        recorders and ``callback(k, t, u)`` see the ``(nnode, 3)`` state.
 
         Resilience: a :class:`~repro.solver.checkpoint.CheckpointManager`
         durably snapshots the leapfrog restart pair (plus the cached
@@ -792,160 +812,20 @@ class ElasticWaveSolver:
         ``lts`` overrides the solver's clustered local-time-stepping
         setting for this run (None = use the ``lts=`` knob from the
         constructor).  A trivial plan — every element in the rate-1
-        cluster — falls back to this global loop, so ``lts`` enabled on
+        cluster — falls back to the global loop, so ``lts`` enabled on
         an unclustered model stays bitwise-identical to ``lts`` off.
-        Snapshot recorders and per-step callbacks need the full state
-        at every step and are not supported under LTS.
+        Under LTS, checkpoints and health probes fall on sync
+        boundaries; snapshot recorders and per-step callbacks need the
+        full state at every step and are not supported.
         """
-        plan, nsteps = self._lts_dispatch(lts, t_end)
-        if plan is not None:
-            if snapshots is not None or callback is not None:
-                raise ValueError(
-                    "snapshots/callback need the full state every step; "
-                    "run with lts=0 (they are unsupported under LTS)"
-                )
-            return self._run_lts(
-                forces, nsteps, plan,
-                receivers=receivers, record=record, checkpoint=checkpoint,
-                resume=resume, faults=faults,
-                health_interval=health_interval,
-            )
-        dt = self.dt
-        dt2 = dt * dt
-        hd = 0.5 * dt
-        nnode = self.nnode
-        m = self.m[:, None]
-        m_alpha = self.m_alpha[:, None]
-        # hoisted loop invariants: 2M for the leading term and the full
-        # u^{k-1} coefficient (mass, Rayleigh alpha, boundary damping)
-        m2 = 2.0 * m
-        prev_coef = (hd * m_alpha - m) + hd * self.C_diag
-        # preallocated state and scratch buffers; the loop below is
-        # in-place throughout — no per-step O(nnode) heap allocations
-        u_prev = np.zeros((nnode, 3))
-        u = np.zeros((nnode, 3))
-        u_next = np.zeros((nnode, 3))
-        r = np.empty((nnode, 3))
-        Ku = np.empty((nnode, 3))
-        tmp = np.empty((nnode, 3))
-        r_bar = np.empty((self.A_bar.shape[0], 3))
-        if hasattr(forces, "forces_at"):
-            force_fn = lambda t, out: forces.forces_at(t, out)
-        else:
-            force_fn = forces
-        fbuf = np.zeros((nnode, 3))
-
-        data = receivers.allocate(3, nsteps) if receivers is not None else None
-        kb_u_prev = np.zeros((nnode, 3))  # beta K u^{k-1}, cached
-        kb_u = np.empty((nnode, 3))
-
-        if health_interval:
-            validate_cfl(dt, self.mesh.elem_h, self.vp)
-        k0 = 0
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                u_prev[:] = ck.arrays["u_prev"]
-                u[:] = ck.arrays["u"]
-                if "kb_u_prev" in ck.arrays:
-                    kb_u_prev[:] = ck.arrays["kb_u_prev"]
-                if data is not None and "rec_data" in ck.arrays:
-                    prefix = ck.arrays["rec_data"]
-                    data[:, :, : prefix.shape[2]] = prefix
-                k0 = int(ck.meta["next_k"])
-
-        # telemetry: one is-None gate per step region when disabled
-        # (literal span names, no kwargs — no hot-loop allocations)
-        tel_on = telemetry.enabled()
-        flops_K = self.K.flops_per_matvec
-        flops_Kb = 0 if self.Kb is None else self.Kb.flops_per_matvec
-        if tel_on:
-            telemetry.gauge(
-                "elastic.cfl_margin",
-                stable_timestep(self.mesh.elem_h, self.vp, safety=1.0)
-                / dt,
-            )
-        with telemetry.span("elastic.run") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            for k in range(k0, nsteps):
-                t = k * dt
-                with telemetry.span("stiffness") as _s:
-                    self.K.matvec(u, out=Ku)
-                    _s.add("flops", flops_K)
-                    _s.add("elements", self.K.nelem)
-                self.flops.add("stiffness", flops_K)
-                np.multiply(m2, u, out=r)
-                np.multiply(Ku, dt2, out=Ku)
-                np.subtract(r, Ku, out=r)
-                if self._has_kab:
-                    # r += (-dt^2 K_AB) u, prescaled at setup
-                    spmv_acc(self._K_AB_mdt2, u.reshape(-1), r.reshape(-1))
-                if self.Kb is not None:
-                    with telemetry.span("damping") as _s:
-                        self.Kb.matvec(u, out=kb_u)
-                        _s.add("flops", flops_Kb)
-                    self.flops.add("stiffness", flops_Kb)
-                    # r -= (dt/2)(Kb u - diag(Kb) u) + (dt/2) Kb u^{k-1}
-                    np.multiply(kb_u, hd, out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    np.multiply(self.Kb_diag, u, out=tmp)
-                    np.multiply(tmp, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    np.multiply(kb_u_prev, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    kb_u_prev, kb_u = kb_u, kb_u_prev
-                np.multiply(prev_coef, u_prev, out=tmp)
-                np.add(r, tmp, out=r)
-                b = force_fn(t, fbuf)
-                if b is not None:
-                    np.multiply(b, dt2, out=tmp)
-                    np.add(r, tmp, out=r)
-                # hanging-node projection keeps the update explicit (2.5)
-                with telemetry.span("update") as _s:
-                    spmv_into(self.BT, r, r_bar)
-                    np.multiply(r_bar, self._inv_A_bar, out=r_bar)
-                    spmv_into(self.B, r_bar, u_next)
-                    _s.add("flops", 12 * nnode)
-                self.flops.add("update", 12 * nnode)
-                if tel_on:
-                    # displacement "energy" proxy — drift shows up as
-                    # unbounded growth of this per-step series
-                    telemetry.sample(
-                        "elastic.u2", float(np.vdot(u_next, u_next)), step=k
-                    )
-                    telemetry.sample_alloc(step=k)
-
-                if receivers is not None:
-                    if record == "velocity":
-                        data[:, :, k] = (
-                            u_next[receivers.nodes] - u_prev[receivers.nodes]
-                        ) / (2.0 * dt)
-                    else:
-                        data[:, :, k] = u[receivers.nodes]
-                if snapshots is not None:
-                    snapshots.maybe_record(k, t, u)
-                if callback is not None:
-                    callback(k, t, u)
-                u_prev, u, u_next = u, u_next, u_prev
-                # u is now x^{k+1}, u_prev is x^k — the restart pair
-                if faults is not None:
-                    faults.poison_state(0, k, u)
-                if health_interval and should_check(k, nsteps, health_interval):
-                    check_finite(u, step=k, field="u")
-                if checkpoint is not None and checkpoint.due(k):
-                    arrays = {"u_prev": u_prev, "u": u}
-                    if self.Kb is not None:
-                        arrays["kb_u_prev"] = kb_u_prev
-                    if data is not None:
-                        arrays["rec_data"] = data[:, :, : k + 1]
-                    checkpoint.save(k, arrays, {"next_k": k + 1})
-
-        if receivers is None:
-            return None
-        return Seismograms(
-            data=data, dt=dt, kind=record, positions=receivers.positions
+        seis = self._march(
+            forces, t_end, None,
+            None if receivers is None else [receivers], "elastic.run",
+            record=record, callback=callback, snapshots=snapshots,
+            checkpoint=checkpoint, resume=resume, faults=faults,
+            health_interval=health_interval, lts=lts,
         )
+        return None if seis is None else seis[0]
 
     def run_batch(
         self,
@@ -961,8 +841,8 @@ class ElasticWaveSolver:
     ) -> list[Seismograms] | None:
         """March ``B = len(forces)`` scenarios at once from rest.
 
-        One fused time loop advances the whole ensemble: states are
-        ``(nnode, 3, B)`` blocks, the stiffness runs as a single
+        The same global and LTS loops as :meth:`run`, over
+        ``(nnode, 3, B)`` state blocks: the stiffness runs as a single
         level-3 :meth:`ElasticOperator.matmat`, the Stacey ``c1``
         coupling and the hanging-node projection run as multi-vector
         CSR products over all ``3 B`` columns, and the diagonal
@@ -971,172 +851,39 @@ class ElasticWaveSolver:
         once per scenario.  Scenario ``b``'s trajectory is
         bit-identical to ``run(forces[b], t_end)`` (identical
         summation orders throughout; a scenario idle at a step
-        contributes a zero forcing column, equal under ``==``).
+        contributes a zero forcing column, equal under ``==``).  A
+        single scenario marches the ``(nnode, 3)`` state of :meth:`run`
+        itself.
 
         ``receivers`` is a single shared :class:`ReceiverArray` or one
         per scenario; ``callback(k, t, u)`` sees the full
         ``(nnode, 3, B)`` block.  Returns one :class:`Seismograms` per
         scenario (None without receivers).
 
-        ``faults``/``health_interval`` mirror :meth:`run`: the fused
-        state block is checked for non-finite values every
-        ``health_interval`` steps (and at the final step), raising
+        ``faults``/``health_interval`` mirror :meth:`run` on both
+        schedules (under LTS at sync boundaries): the fused state block
+        is checked for non-finite values, raising
         :class:`~repro.resilience.health.NumericalHealthError` — one
         poisoned column fails the whole fused loop, which is exactly
-        the signal the service scheduler's bisection isolates.  The
-        LTS path keeps its own sync-boundary checks and ignores
-        ``faults``.
+        the signal the service scheduler's bisection isolates.
         """
-        plan, nsteps = self._lts_dispatch(lts, t_end)
-        if plan is not None:
-            if callback is not None:
-                raise ValueError(
-                    "callback needs the full state every step; run with "
-                    "lts=0 (it is unsupported under LTS)"
-                )
-            return self._run_batch_lts(
-                forces, nsteps, plan, receivers=receivers, record=record
-            )
+        forces = list(forces)
         Bn = len(forces)
-        dt = self.dt
-        dt2 = dt * dt
-        hd = 0.5 * dt
-        nnode = self.nnode
-        if health_interval:
-            validate_cfl(dt, self.mesh.elem_h, self.vp)
-        # broadcast the per-node/per-dof diagonals over the batch axis
-        m = self.m[:, None, None]
-        m_alpha = self.m_alpha[:, None, None]
-        m2 = 2.0 * m
-        prev_coef = (hd * m_alpha - m) + hd * self.C_diag[:, :, None]
-        inv_A_bar = self._inv_A_bar[:, :, None]
-        kb_diag = None if self.Kb_diag is None else self.Kb_diag[:, :, None]
-        nbar = self.A_bar.shape[0]
-        u_prev = np.zeros((nnode, 3, Bn))
-        u = np.zeros((nnode, 3, Bn))
-        u_next = np.zeros((nnode, 3, Bn))
-        r = np.empty((nnode, 3, Bn))
-        Ku = np.empty((nnode, 3, Bn))
-        tmp = np.empty((nnode, 3, Bn))
-        r_bar = np.empty((nbar, 3, Bn))
-        force_fns = [
-            (lambda t, out, fc=fc: fc.forces_at(t, out))
-            if hasattr(fc, "forces_at") else fc
-            for fc in forces
-        ]
-        fbuf = np.zeros((nnode, 3, Bn))
-        fcol = np.zeros((nnode, 3))  # contiguous per-scenario scratch
-        col_live = np.zeros(Bn, dtype=bool)  # column nonzero in fbuf
-
-        if receivers is None:
-            recs = None
-        elif isinstance(receivers, ReceiverArray):
-            recs = [receivers] * Bn
+        if receivers is None or isinstance(receivers, ReceiverArray):
+            recs = None if receivers is None else [receivers] * Bn
         else:
             recs = list(receivers)
             if len(recs) != Bn:
                 raise ValueError("need one receiver array per scenario")
-        data = (
-            [ra.allocate(3, nsteps) for ra in recs]
-            if recs is not None else None
+        batch = Bn
+        if Bn == 1:
+            batch, forces = None, forces[0]
+            if callback is not None:
+                # the block view keeps the batched callback contract
+                def callback(k, t, u, _cb=callback):
+                    _cb(k, t, u[..., None])
+        return self._march(
+            forces, t_end, batch, recs, "elastic.run_batch", width=Bn,
+            record=record, callback=callback, faults=faults,
+            health_interval=health_interval, lts=lts,
         )
-        kb_u_prev = np.zeros((nnode, 3, Bn))
-        kb_u = np.empty((nnode, 3, Bn))
-
-        # batched flop counts come from the kernel's own accounting so
-        # they cannot drift from the 1-RHS numbers (satellite of the
-        # telemetry rework; previously multiplied by Bn by hand here)
-        flops_K = self.K.flops_per_matmat(Bn)
-        flops_Kb = 0 if self.Kb is None else self.Kb.flops_per_matmat(Bn)
-        with telemetry.span("elastic.run_batch") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            _run.add("batch", Bn)
-            for k in range(nsteps):
-                t = k * dt
-                with telemetry.span("stiffness") as _s:
-                    self.K.matmat(u, out=Ku)
-                    _s.add("flops", flops_K)
-                    _s.add("elements", self.K.nelem)
-                self.flops.add("stiffness", flops_K)
-                np.multiply(m2, u, out=r)
-                np.multiply(Ku, dt2, out=Ku)
-                np.subtract(r, Ku, out=r)
-                if self._has_kab:
-                    spmv_acc(
-                        self._K_AB_mdt2,
-                        u.reshape(3 * nnode, Bn),
-                        r.reshape(3 * nnode, Bn),
-                    )
-                if self.Kb is not None:
-                    with telemetry.span("damping") as _s:
-                        self.Kb.matmat(u, out=kb_u)
-                        _s.add("flops", flops_Kb)
-                    self.flops.add("stiffness", flops_Kb)
-                    np.multiply(kb_u, hd, out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    np.multiply(kb_diag, u, out=tmp)
-                    np.multiply(tmp, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    np.multiply(kb_u_prev, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    kb_u_prev, kb_u = kb_u, kb_u_prev
-                np.multiply(prev_coef, u_prev, out=tmp)
-                np.add(r, tmp, out=r)
-                live = False
-                for b, fn in enumerate(force_fns):
-                    fb = fn(t, fcol)
-                    if fb is None:
-                        # a column goes quiet: zero it once, then skip
-                        # the fill until the source speaks again (the
-                        # content is zero either way, so bit-identity
-                        # holds)
-                        if col_live[b]:
-                            fbuf[:, :, b] = 0.0
-                            col_live[b] = False
-                    else:
-                        fbuf[:, :, b] = fb
-                        col_live[b] = True
-                        live = True
-                if live:
-                    np.multiply(fbuf, dt2, out=tmp)
-                    np.add(r, tmp, out=r)
-                with telemetry.span("update") as _s:
-                    spmv_into(
-                        self.BT,
-                        r.reshape(nnode, 3 * Bn),
-                        r_bar.reshape(nbar, 3 * Bn),
-                    )
-                    np.multiply(r_bar, inv_A_bar, out=r_bar)
-                    spmv_into(
-                        self.B,
-                        r_bar.reshape(nbar, 3 * Bn),
-                        u_next.reshape(nnode, 3 * Bn),
-                    )
-                    _s.add("flops", 12 * nnode * Bn)
-                self.flops.add("update", 12 * nnode * Bn)
-
-                if recs is not None:
-                    for b, ra in enumerate(recs):
-                        if record == "velocity":
-                            data[b][:, :, k] = (
-                                u_next[ra.nodes, :, b] - u_prev[ra.nodes, :, b]
-                            ) / (2.0 * dt)
-                        else:
-                            data[b][:, :, k] = u[ra.nodes, :, b]
-                if callback is not None:
-                    callback(k, t, u)
-                u_prev, u, u_next = u, u_next, u_prev
-                if faults is not None:
-                    faults.poison_state(0, k, u)
-                if health_interval and should_check(
-                    k, nsteps, health_interval
-                ):
-                    check_finite(u, step=k, field="u")
-
-        if recs is None:
-            return None
-        return [
-            Seismograms(data=data[b], dt=dt, kind=record, positions=recs[b].positions)
-            for b in range(Bn)
-        ]

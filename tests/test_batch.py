@@ -26,9 +26,9 @@ from repro.inverse import (
     Shot,
 )
 from repro.io.seismogram import ReceiverArray
-from repro.materials import HomogeneousMaterial
+from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, rcb_partition, uniform_hex_mesh
-from repro.octree import build_adaptive_octree
+from repro.octree import balance_octree, build_adaptive_octree
 from repro.parallel import (
     DistributedWaveSolver,
     ProcWorld,
@@ -220,24 +220,61 @@ def test_march_coefficient_cache_reused_and_invalidated():
 # ------------------------------------------------ elastic ensemble run
 
 
+def make_hanging_mesh():
+    """Corner octant refined one level: hanging nodes on its faces."""
+    tree = balance_octree(
+        build_adaptive_octree(
+            lambda c, s: np.where(np.all(c < 0.5, axis=1), 1 / 8, 1 / 4),
+            max_level=4,
+        )
+    )
+    return tree, extract_mesh(tree, L=L)
+
+
+#: soft layer over stiff: a non-trivial (rate 1/2/4) clustered-LTS plan
+LAYERED = LayeredMaterial(
+    [500.0], vs=[300.0, 1200.0], vp=[600.0, 2400.0], rho=[2000.0, 2000.0]
+)
+
+
 class TestElasticRunBatch:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, case",
         [
-            {"stacey_c1": False},
-            {"stacey_c1": True},
-            {"stacey_c1": False, "damping_ratio": 0.02},
+            ({"stacey_c1": False}, {}),
+            ({"stacey_c1": True}, {}),
+            ({"stacey_c1": False, "damping_ratio": 0.02}, {}),
+            ({"stacey_c1": True}, {"mesh": make_hanging_mesh}),
+            (
+                {"stacey_c1": True, "damping_ratio": 0.02},
+                {"mat": LAYERED, "t_end": 0.6, "run": {"lts": True}},
+            ),
+            (
+                {"stacey_c1": True},
+                {"t_end": 0.3, "run": {"record": "displacement"}},
+            ),
+            ({"stacey_c1": True}, {"B": 1}),
         ],
-        ids=["lysmer", "stacey_c1", "rayleigh"],
+        ids=[
+            "lysmer", "stacey_c1", "rayleigh", "hanging", "lts_rayleigh",
+            "displacement", "width1",
+        ],
     )
-    def test_bitwise_vs_looped_serial(self, kwargs):
-        tree, mesh = make_mesh()
-        solver = ElasticWaveSolver(mesh, tree, MAT, **kwargs)
-        forces = make_sources(mesh, tree, 3)
+    def test_bitwise_vs_looped_serial(self, kwargs, case):
+        tree, mesh = case.get("mesh", make_mesh)()
+        solver = ElasticWaveSolver(mesh, tree, case.get("mat", MAT), **kwargs)
+        forces = make_sources(mesh, tree, case.get("B", 3))
         rec = ReceiverArray(
             mesh, np.array([[500.0, 500.0, 0.0], [250.0, 750.0, 0.0]])
         )
-        t_end = 0.15
+        t_end = case.get("t_end", 0.15)
+        run_kw = case.get("run", {})
+        # LTS marches have no per-step full state: no callback there
+        lts = run_kw.get("lts", False)
+        if lts:
+            assert not solver.lts_plan().trivial
+        if case.get("mesh") is make_hanging_mesh:
+            assert solver.constraints.n_hanging > 0
         state_b = {}
         state_s = {}
 
@@ -247,17 +284,21 @@ class TestElasticRunBatch:
             return cb
 
         seis_b = solver.run_batch(
-            forces, t_end, receivers=rec, callback=cap(state_b)
+            forces, t_end, receivers=rec,
+            callback=None if lts else cap(state_b), **run_kw,
         )
-        assert len(seis_b) == 3
+        assert len(seis_b) == len(forces)
         for b, fc in enumerate(forces):
-            seis = solver.run(fc, t_end, receivers=rec)
+            seis = solver.run(fc, t_end, receivers=rec, **run_kw)
             assert np.array_equal(seis_b[b].data, seis.data), f"shot {b}"
             assert np.abs(seis.data).max() > 0
+        if lts:
+            return
         # interior trajectory, not just the receiver rows
-        solver.run(forces[1], t_end, callback=cap(state_s))
+        i = min(1, len(forces) - 1)
+        solver.run(forces[i], t_end, callback=cap(state_s))
         for k in state_s:
-            assert np.array_equal(state_b[k][:, :, 1], state_s[k])
+            assert np.array_equal(state_b[k][:, :, i], state_s[k])
 
     def test_per_scenario_receivers(self):
         tree, mesh = make_mesh()

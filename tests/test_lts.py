@@ -352,6 +352,27 @@ def test_elastic_lts_batch_matches_solo():
         assert np.array_equal(got.data, want.data)
 
 
+def test_elastic_lts_batch_runs_health_sentinel():
+    # one NaN in one scenario's forcing: the batched LTS march trips
+    # the sentinel at the same sync boundary as the solo march, so the
+    # service's poisoned-batch bisection sees LTS batches fail too
+    mesh, solver, force, rec = _elastic_layered()
+    t_nan = 20 * solver.dt
+
+    def bad(t, out):
+        b = force(t, out)
+        if t >= t_nan:
+            b[force.node, 2] = np.nan
+        return b
+
+    t_end = 63.5 * solver.dt
+    with pytest.raises(NumericalHealthError) as solo:
+        solver.run(bad, t_end, receivers=rec, lts=True)
+    with pytest.raises(NumericalHealthError) as batch:
+        solver.run_batch([force, bad], t_end, receivers=rec, lts=True)
+    assert batch.value.step == solo.value.step
+
+
 # --------------------------------------------------------- distributed
 
 
