@@ -21,6 +21,10 @@ Writes ``BENCH_scaling.json``.  ``cpu_count`` is recorded because the
 numbers only mean what they appear to mean when the worker count fits
 in physical cores — on a 1-core container every process-transport run
 is oversubscribed and the speedup column shows overhead, not scaling.
+For the same reason the header records the CPU affinity set, the BLAS
+vendor and the master's BLAS thread count, and every row the BLAS
+thread count each worker ran with (null where numpy's OpenBLAS cannot
+be reached).
 
 Usage::
 
@@ -39,6 +43,7 @@ import numpy as np
 
 from _common import export_telemetry, timed
 
+from repro.backend import blas_threads
 from repro.fem import ElasticOperator
 from repro.materials import HomogeneousMaterial
 from repro.mesh import extract_mesh, rcb_partition
@@ -66,6 +71,18 @@ def effective_cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def blas_vendor() -> str:
+    """Name of the BLAS numpy was built against."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return "unknown"
+
+
+def _blas_threads_program(comm, payload):
+    return blas_threads()
 
 
 class PointForce:
@@ -181,6 +198,7 @@ def main(argv=None) -> dict:
             proc_s, u_proc, timings = run_distributed(
                 world, mesh, parts, force, dt, args.steps
             )
+            worker_blas = world.run_spmd(_blas_threads_program, [None] * nw)
         assert np.array_equal(u_sim, u_proc)
         err = float(np.abs(u_proc - u_ref).max() / ref_scale)
         predicted = predict_scalability(
@@ -207,6 +225,7 @@ def main(argv=None) -> dict:
                 "worker_wait_seconds": (
                     [t["t_wait"] for t in timings] if timings else None
                 ),
+                "worker_blas_threads": worker_blas,
             }
         )
         print(
@@ -226,6 +245,11 @@ def main(argv=None) -> dict:
         },
         "cpu_count": os.cpu_count(),
         "effective_cpu_count": ncores,
+        "cpu_affinity": (
+            sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None
+        ),
+        "blas": {"vendor": blas_vendor(), "threads": blas_threads()},
         "smoke": bool(args.smoke),
         "serial_seconds": serial_s,
         "flop_rate": flop_rate,

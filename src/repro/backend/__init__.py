@@ -22,13 +22,24 @@ summation order of the scatter may differ.
 >>> from repro.backend import set_backend
 >>> set_backend("numba")           # or REPRO_BACKEND=numba in the env
 >>> set_backend(None)              # back to the environment default
+
+:func:`blas_threads` / :func:`set_blas_threads` read and set the
+thread count of the OpenBLAS bundled with numpy (the library behind
+the element GEMMs).  The process transport pins each worker rank to
+one BLAS thread with them; nothing else in the package changes the
+caller's setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import importlib.util
 import os
 import warnings
+
+import numpy as np
 
 from repro.backend.sparse_ops import (
     HAVE_INPLACE_SPMV,
@@ -39,7 +50,9 @@ from repro.backend.sparse_ops import (
 
 __all__ = [
     "available_backends",
+    "blas_threads",
     "get_backend",
+    "set_blas_threads",
     "set_backend",
     "use_backend",
     "ScatterPlan",
@@ -129,3 +142,56 @@ class use_backend:
         global _active
         _active = self._saved
         return False
+
+
+# ------------------------------------------------------------ BLAS threads
+
+#: thread-count entry points of numpy's bundled OpenBLAS, newest
+#: (scipy-openblas, 64-bit interface) first
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_fns():
+    """``(get, set)`` ctypes functions of numpy's bundled OpenBLAS, or
+    None when no library in ``numpy.libs`` exports a known pair
+    (another BLAS vendor, a system OpenBLAS, a stripped build)."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_sym, set_sym in _BLAS_SYMBOLS:
+            get = getattr(lib, get_sym, None)
+            set_ = getattr(lib, set_sym, None)
+            if get is not None and set_ is not None:
+                get.argtypes = ()
+                get.restype = ctypes.c_int
+                set_.argtypes = (ctypes.c_int,)
+                set_.restype = None
+                return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS uses for one call in this process, or
+    None when the library cannot be reached."""
+    fns = _blas_thread_fns()
+    return None if fns is None else int(fns[0]())
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set this process's OpenBLAS thread count to ``n``; returns the
+    previous count.  Does nothing and returns None when the library
+    cannot be reached."""
+    fns = _blas_thread_fns()
+    if fns is None:
+        return None
+    previous = int(fns[0]())
+    fns[1](int(n))
+    return previous

@@ -60,6 +60,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.backend import set_blas_threads
 from repro.parallel.simcomm import SimComm, TrafficStats, _allreduce_program
 from repro.telemetry import spans
 
@@ -268,12 +269,17 @@ class ProcTransport:
 def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
                  heartbeat_interval):
     """Persistent worker loop: execute submitted programs until told
-    to stop, shipping results and traffic counts back over the pipe."""
+    to stop, shipping results and traffic counts back over the pipe.
+
+    The first program pins this process's BLAS pool to one thread (one
+    core per rank); pinning waits for it so that the fork's start-up
+    does not compete with the master's solver construction."""
     transport = ProcTransport(
         rank, nranks, send_chs, recv_chs, barrier, conn,
         heartbeat_interval,
     )
     comm = SimComm(transport, rank)
+    pinned = False
     while True:
         try:
             msg = conn.recv()
@@ -282,6 +288,9 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
         if msg[0] == "stop":
             conn.close()
             return
+        if not pinned:
+            set_blas_threads(1)
+            pinned = True
         # run messages are ("run", program, payload) or, when the
         # master has an active request trace, ("run", program,
         # payload, trace_id) — length-guarded like the result tuple so
@@ -336,6 +345,18 @@ class ProcWorld:
     ``total_stats``, ``allreduce``), and its :meth:`run_spmd` runs the
     same rank programs on real cores.  Workers are daemonic: they die
     with the master even if :meth:`close` is never reached.
+
+    One core per rank: each worker pins its OpenBLAS pool to one thread
+    (:func:`repro.backend.set_blas_threads`) when it receives its first
+    program, and a respawned pool pins again.  A forked worker would
+    otherwise inherit the library default of one BLAS thread per CPU,
+    so P ranks would run P times that many threads whose helpers
+    busy-wait between the per-step GEMMs; on a 2-vCPU host a 2-rank
+    step of the 4096-element mesh took 7.3-7.7 ms that way and
+    1.2-1.6 ms pinned.  The pin waits for the first program because
+    pinning at process start made the fork's start-up compete with the
+    master's solver construction.  The caller's process keeps its own
+    BLAS setting, as do :class:`SimWorld` ranks and the serial solvers.
 
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.backend import blas_threads, set_blas_threads
 from repro.materials import HomogeneousMaterial
 from repro.mesh import rcb_partition, uniform_hex_mesh
 from repro.parallel import (
@@ -133,6 +134,32 @@ def test_worker_error_propagates():
             world.run_spmd(_boom_program, [None, None])
         # the world survives a failed program
         assert world.allreduce([1.0, 1.0]) == 2.0
+
+
+def _blas_threads_program(comm, payload):
+    return blas_threads()
+
+
+def test_procworld_workers_use_one_blas_thread():
+    if blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    # two threads in the caller, so a worker that kept the pool it
+    # forked with would report 2
+    saved = set_blas_threads(2)
+    try:
+        master = blas_threads()
+        with ProcWorld(2) as world:
+            assert world.run_spmd(_blas_threads_program, [None, None]) == [1, 1]
+            assert blas_threads() == master
+            world.respawn()
+            assert world.run_spmd(_blas_threads_program, [None, None]) == [1, 1]
+        assert blas_threads() == master
+        # in-process ranks run in the caller's process: left as it is
+        sim = SimWorld(2).run_spmd(_blas_threads_program, [None, None])
+        assert sim == [master, master]
+        assert blas_threads() == master
+    finally:
+        set_blas_threads(saved)
 
 
 def test_simworld_run_spmd_reraises_rank_error():
